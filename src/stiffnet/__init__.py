@@ -34,17 +34,14 @@ from .sde import (
     PathBundle,
     PerturbedCoefficients,
     StiffSystem,
-    coarsen,
     coupled_gap_check,
     exact_coefficients,
-    implicit_factor,
     moment_check,
     ou_exact_value,
+    rate_study,
     simulate,
     step_pes,
-    strong_rate_study,
     validate_system,
-    weak_rate_study,
 )
 from .synthesis import (
     Measure,

@@ -161,23 +161,13 @@ def combine(coeffs, nets):
 def parallel_shared(net_a, net_b):
     """Network realizing x -> (net_a(x), net_b(x)); size <= 2(C_a + C_b)."""
     _require_same_arch([net_a, net_b], "parallel_shared")
-    depth = net_a.depth
-    if depth == 1:
-        return Network(
-            [
-                Layer(
-                    np.vstack([net_a.layers[0].weight, net_b.layers[0].weight]),
-                    np.concatenate([net_a.layers[0].bias, net_b.layers[0].bias]),
-                )
-            ]
-        )
     layers = [
         Layer(
             np.vstack([net_a.layers[0].weight, net_b.layers[0].weight]),
             np.concatenate([net_a.layers[0].bias, net_b.layers[0].bias]),
         )
     ]
-    for l in range(1, depth):
+    for l in range(1, net_a.depth):
         layers.append(
             Layer(
                 block_diag(net_a.layers[l].weight, net_b.layers[l].weight),

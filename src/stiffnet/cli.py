@@ -46,10 +46,12 @@ from .game import (
     infsup_net,
 )
 from .network import Layer, Network, fold_affine, realize, save_network
-from .sde import strong_rate_study, weak_rate_study
+from .sde import exact_coefficients, rate_study, reference_steps
 from .synthesis import (
     SynthesisBudget,
     calibrate_cplan,
+    coefficients_from_nets,
+    cplan_floor,
     l2_error,
     mc_reference,
     plan_budget,
@@ -154,7 +156,21 @@ def load_config(path, expected_study=None):
     full = dict(schema["optional"])
     full.update({k: cfg[k] for k in keys})
     full["study"] = study
+    _check_values(full)
     return full
+
+
+def _check_values(cfg):
+    """Reject values a study would check nothing with or fail on mid-run."""
+    try:
+        if cfg["study"] == "calculus-check":
+            for key in ("instances", "points"):
+                if int(cfg[key]) < 1:
+                    raise ValueError("%s must be >= 1" % key)
+        elif cfg["study"] == "convergence":
+            reference_steps(cfg["n_list"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def resolve_seed(cfg):
@@ -396,41 +412,29 @@ def run_calculus(cfg, out_dir, seed):
 def run_convergence(cfg, out_dir, seed):
     recipe = make_system(cfg["system"], int(cfg["d"]), **cfg["params"])
     horizon = float(cfg["horizon"])
-    n_list = [int(n) for n in cfg["n_list"]]
-    paths = int(cfg["paths"])
     x0 = np.full(recipe.d, 0.5)
-    coeffs = {"mu": recipe.system.mu, "sigma": recipe.system.sigma}
-    from .sde import PerturbedCoefficients
-
-    coeffs = PerturbedCoefficients(recipe.system.mu, recipe.system.sigma, 0.0)
-    strong = strong_rate_study(
-        recipe.system, coeffs, x0, n_list, horizon, seed, paths
-    )
     cost = make_quadratic_cost(np.ones(recipe.d), 3.0, 1e-3)
     oracle = (
         recipe.exact_value(cost.beta_weights, x0, horizon) if recipe.linear else None
     )
-    weak = weak_rate_study(
-        recipe.system, coeffs, cost, x0, n_list, horizon, seed, paths, oracle=oracle
+    study = rate_study(
+        recipe.system,
+        exact_coefficients(recipe.system),
+        cost,
+        x0,
+        cfg["n_list"],
+        horizon,
+        seed,
+        int(cfg["paths"]),
+        oracle=oracle,
     )
-    rows = []
-    for rs, rw in zip(strong["rows"], weak["rows"]):
-        rows.append(
-            {
-                "N": rs["N"],
-                "h": rs["h"],
-                "strong_err": rs["strong_err"],
-                "weak_err": rw["weak_err"],
-                "stderr": rs["stderr"],
-            }
-        )
     write_csv(
         os.path.join(out_dir, "convergence.csv"),
         ["N", "h", "strong_err", "weak_err", "stderr"],
-        rows,
+        study["rows"],
     )
-    extra = {"strong_slope": strong["slope"], "weak_slope": weak["slope"]}
-    ok = 0.4 <= strong["slope"] <= 0.6
+    extra = {"strong_slope": study["strong_slope"], "weak_slope": study["weak_slope"]}
+    ok = 0.4 <= study["strong_slope"] <= 0.6
     return ["convergence.csv"], extra, ok
 
 
@@ -476,14 +480,14 @@ def run_synth(cfg, out_dir, seed):
         reference = lambda x: recipe.exact_value(cost.beta_weights, x, horizon)
         ref_kind = "closed_form"
     else:
-        from .synthesis import coefficients_from_nets
-
         coeffs = coefficients_from_nets(recipe.mu_net, recipe.sigma_col_nets)
         reference = lambda x: mc_reference(
             recipe.system, coeffs, cost, budget, seed, x
         )
         ref_kind = "scheme_same_seed"
-    err, stderr = l2_error(psi, reference, measure, d, 256, seed ^ 0xE5)
+    err, stderr = l2_error(
+        psi, reference, measure, d, int(cfg["n_samples"]), seed ^ 0xE5
+    )
     wall_ms = (time.perf_counter() - t0) * 1e3
     save_network(psi, os.path.join(out_dir, "network.txt"))
     row = {
@@ -614,8 +618,6 @@ def _fit_poly(xs, ys):
 
 
 def run_scaling(cfg, out_dir, seed):
-    from .synthesis import cplan_floor
-
     horizon = float(cfg["horizon"])
     d_list = [int(v) for v in cfg["d_list"]]
     eps_list = [float(v) for v in cfg["eps_list"]]
@@ -779,7 +781,7 @@ def build_parser():
             "--threads",
             type=int,
             default=1,
-            help="worker count (results are schedule-independent)",
+            help="reserved: accepted for compatibility, runs are single-threaded",
         )
     return parser
 

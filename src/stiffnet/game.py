@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .calculus import max_tree, min_tree, pad_to_pow2
+from .sde import PerturbedCoefficients
 from .synthesis import coefficients_from_nets, mc_reference, unroll_value_net
 
 __all__ = [
@@ -168,8 +169,6 @@ def _controlled_coeffs(recipe, grid, budget, strat1, strat2):
         return coefficients_from_nets(
             recipe.mu_net, recipe.sigma_col_nets, extra=extra
         ).sigma(t, x)
-
-    from .sde import PerturbedCoefficients
 
     return PerturbedCoefficients(mu=mu, sigma=sigma, gamma=recipe.gamma)
 

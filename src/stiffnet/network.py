@@ -235,36 +235,38 @@ def network_to_text(net):
 
 
 def network_from_text(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    pos = 0
-    header = lines[pos].split()
-    pos += 1
+    lines = (ln for ln in text.splitlines() if ln.strip())
+
+    def take(what):
+        line = next(lines, None)
+        if line is None:
+            raise ValueError("truncated network text: missing %s" % what)
+        return line
+
+    header = take("header").split()
     if len(header) != 2 or header[0] != SERIAL_TAG:
         raise ValueError("not a serialized network (bad header)")
     if header[1] != "v%d" % SERIAL_VERSION:
         raise ValueError("unsupported serialization version %r" % header[1])
-    tag, count = lines[pos].split()
-    pos += 1
+    tag, count = take("layer count").split()
     if tag != "layers":
         raise ValueError("missing layer count")
     n_layers = int(count)
     layers = []
     for _ in range(n_layers):
-        tag, rows, cols = lines[pos].split()
-        pos += 1
+        tag, rows, cols = take("layer header").split()
         if tag != "layer":
             raise ValueError("missing layer header")
         rows, cols = int(rows), int(cols)
         weight = np.empty((rows, cols))
         for r in range(rows):
-            weight[r] = _parse_row(lines[pos], cols)
-            pos += 1
-        if lines[pos].strip() != "bias":
+            weight[r] = _parse_row(take("weight row"), cols)
+        if take("bias marker").strip() != "bias":
             raise ValueError("missing bias marker")
-        pos += 1
-        bias = np.array(_parse_row(lines[pos], rows))
-        pos += 1
+        bias = np.array(_parse_row(take("bias row"), rows))
         layers.append(Layer(weight, bias))
+    if next(lines, None) is not None:
+        raise ValueError("trailing data after the last layer")
     return Network(layers)
 
 

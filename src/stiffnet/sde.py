@@ -32,13 +32,11 @@ __all__ = [
     "StiffSystem",
     "EulerConfig",
     "PathBundle",
-    "coarsen",
     "PerturbedCoefficients",
     "exact_coefficients",
     "ValidationReport",
     "validate_system",
     "ImplicitFactor",
-    "implicit_factor",
     "step_pes",
     "simulate",
     "ou_exact_value",
@@ -48,8 +46,8 @@ __all__ = [
     "discrete_moment_bound",
     "gap_bound",
     "step_floor",
-    "strong_rate_study",
-    "weak_rate_study",
+    "reference_steps",
+    "rate_study",
     "coupled_gap_check",
     "moment_check",
     "fit_loglog_slope",
@@ -134,37 +132,6 @@ class PathBundle:
         rng = np.random.Generator(np.random.Philox(key=key))
         block = rng.standard_normal((self.n_paths, self.d))
         return block * np.sqrt(self.h)
-
-    def all_increments(self):
-        return np.stack([self.increments(n) for n in range(self.n_steps)])
-
-
-class _CoarseBundle:
-    def __init__(self, fine, factor):
-        if fine.n_steps % factor != 0:
-            raise ValueError("coarsening factor must divide the fine step count")
-        self.fine = fine
-        self.factor = int(factor)
-        self.seed = fine.seed
-        self.n_paths = fine.n_paths
-        self.n_steps = fine.n_steps // self.factor
-        self.d = fine.d
-        self.h = fine.h * self.factor
-
-    def increments(self, n):
-        if not 0 <= n < self.n_steps:
-            raise IndexError("step %d out of range" % n)
-        total = self.fine.increments(n * self.factor)
-        for j in range(1, self.factor):
-            total = total + self.fine.increments(n * self.factor + j)
-        return total
-
-
-def coarsen(bundle, factor):
-    """View of a bundle with increments summed over groups of `factor`."""
-    if factor == 1:
-        return bundle
-    return _CoarseBundle(bundle, factor)
 
 
 @dataclass(frozen=True)
@@ -311,10 +278,6 @@ class ImplicitFactor:
         return ok
 
 
-def implicit_factor(A, h):
-    return ImplicitFactor(A, h)
-
-
 def step_pes(factor, coeffs, y, t_n, db):
     """One scheme step: (I+hA)^{-1}(y + h mu(t,y) + sigma(t,y) db)."""
     h = factor.h
@@ -327,13 +290,8 @@ def step_pes(factor, coeffs, y, t_n, db):
     return out
 
 
-def simulate(sys, coeffs, x0, cfg, bundle, record=None):
-    """Run the scheme for all paths in the bundle.
-
-    Returns the (M, d) endpoint matrix, or (endpoints, snapshots) when
-    `record` is an iterable of step indices (0 = after the initial
-    projection); snapshots maps index -> (M, d) state copy.
-    """
+def _trajectory(sys, coeffs, x0, cfg, bundle):
+    """Yield the (M, d) scheme state at steps 0..N (0 = after the projection)."""
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x0.shape[0] != sys.d:
         raise ValueError("x0 has wrong dimension")
@@ -341,17 +299,17 @@ def simulate(sys, coeffs, x0, cfg, bundle, record=None):
         raise ValueError("bundle has fewer steps than the configuration")
     factor = ImplicitFactor(sys.A, cfg.h)
     y = factor.solve(np.broadcast_to(x0, (bundle.n_paths, sys.d)).copy())
-    snapshots = {}
-    wanted = set(int(i) for i in record) if record is not None else None
-    if wanted is not None and 0 in wanted:
-        snapshots[0] = y.copy()
+    yield y
     grid = cfg.grid()
     for n in range(cfg.steps):
         y = step_pes(factor, coeffs, y, grid[n], bundle.increments(n))
-        if wanted is not None and (n + 1) in wanted:
-            snapshots[n + 1] = y.copy()
-    if wanted is not None:
-        return y, snapshots
+        yield y
+
+
+def simulate(sys, coeffs, x0, cfg, bundle):
+    """Run the scheme for all paths in the bundle; returns (M, d) endpoints."""
+    for y in _trajectory(sys, coeffs, x0, cfg, bundle):
+        pass
     return y
 
 
@@ -440,85 +398,114 @@ def fit_loglog_slope(hs, errors, magnitude=1.0):
 _REF_REFINE = 64
 
 
-def strong_rate_study(sys, coeffs, x0, n_list, horizon, seed, n_paths):
-    """Strong error vs step size against a 64x-refined same-noise run.
+class _GridMax:
+    """Running max over grid times of E|.|^2, with the MC stderr at the max."""
 
-    For each N the coarse scheme uses increments summed from the fine grid,
-    so coarse and reference runs share one Brownian path per sample.  The
-    per-N error is max over grid times of (E |Y_coarse - Y_ref|^2)^(1/2).
-    """
-    n_list = sorted(int(n) for n in n_list)
+    def __init__(self):
+        self.value = 0.0
+        self.stderr = 0.0
+
+    def fold(self, sq):
+        mean_sq = float(np.mean(sq))
+        if mean_sq > self.value:
+            self.value = mean_sq
+            self.stderr = float(np.std(sq) / np.sqrt(len(sq)))
+
+
+def reference_steps(n_list):
+    """Fine step count 64 max(n_list); every N must divide it."""
+    n_list = [int(n) for n in n_list]
+    if not n_list or min(n_list) <= 0:
+        raise ValueError("n_list must be a non-empty list of positive step counts")
     n_ref = _REF_REFINE * max(n_list)
-    fine_bundle = PathBundle(seed, n_paths, n_ref, sys.d, horizon / n_ref)
-    base = min(n_list)
-    checkpoints = [k * (n_ref // max(n_list)) for k in range(max(n_list) + 1)]
-    _, ref_snaps = simulate(
-        sys,
-        exact_coefficients(sys),
-        x0,
-        EulerConfig(horizon, n_ref),
-        fine_bundle,
-        record=checkpoints,
-    )
-
-    magnitude = float(np.sqrt(np.mean(ref_snaps[checkpoints[-1]] ** 2) * sys.d))
-    rows = []
-    for n in n_list:
-        factor = n_ref // n
-        bundle = coarsen(fine_bundle, factor)
-        cfg = EulerConfig(horizon, n)
-        _, snaps = simulate(sys, coeffs, x0, cfg, bundle, record=range(n + 1))
-        worst = 0.0
-        worst_se = 0.0
-        for k in range(n + 1):
-            ref = ref_snaps[k * factor]
-            sq = np.sum((snaps[k] - ref) ** 2, axis=1)
-            mean_sq = float(np.mean(sq))
-            if mean_sq > worst:
-                worst = mean_sq
-                worst_se = float(np.std(sq) / np.sqrt(len(sq)))
-        err = np.sqrt(worst)
-        stderr = 0.0 if worst == 0.0 else worst_se / (2.0 * max(err, 1e-300))
-        rows.append({"N": n, "h": horizon / n, "strong_err": err, "stderr": stderr})
-    slope = fit_loglog_slope(
-        [r["h"] for r in rows], [r["strong_err"] for r in rows], magnitude
-    )
-    return {"rows": rows, "slope": slope, "base_N": base, "ref_N": n_ref}
-
-
-def weak_rate_study(sys, coeffs, cost, x0, n_list, horizon, seed, n_paths, oracle=None):
-    """Weak error |E f(Y_T) - mean f~_D(Y~_N)| per step count.
-
-    `cost` must expose f (exact), and net realization f_tilde plus defect
-    theta.  When no closed-form oracle is supplied the reference is the
-    exact-coefficient scheme on the 64x-refined grid with the untruncated
-    cost.
-    """
-    n_list = sorted(int(n) for n in n_list)
-    n_ref = _REF_REFINE * max(n_list)
-    fine_bundle = PathBundle(seed, n_paths, n_ref, sys.d, horizon / n_ref)
-    if oracle is None:
-        ref_end = simulate(
-            sys, exact_coefficients(sys), x0, EulerConfig(horizon, n_ref), fine_bundle
+    bad = [n for n in n_list if n_ref % n]
+    if bad:
+        raise ValueError(
+            "step counts %s do not divide the reference grid of %d steps" % (bad, n_ref)
         )
-        oracle = float(np.mean(cost.f(ref_end)))
+    return n_ref
+
+
+class _CoarseRun:
+    """One coarse scheme stepping on increments summed from the fine grid."""
+
+    def __init__(self, A, start, n, horizon, n_ref):
+        cfg = EulerConfig(horizon, n)
+        self.n = n
+        self.stride = n_ref // n
+        self.factor = ImplicitFactor(A, cfg.h)
+        self.grid = cfg.grid()
+        self.y = self.factor.solve(start.copy())
+        self.db = None
+        self.err = _GridMax()
+
+
+def rate_study(sys, coeffs, cost, x0, n_list, horizon, seed, n_paths, oracle=None):
+    """Strong and weak error vs step size against a 64x-refined same-noise run.
+
+    One pass walks the fine grid: each fine Brownian block is drawn once,
+    steps the exact-coefficient reference and is summed into every coarse
+    scheme's increment, so all runs share one Brownian path per sample.  A
+    coarse scheme steps when its grid point is reached.  The strong error
+    per N is max over grid times of (E |Y_N - Y_ref|^2)^(1/2); the weak
+    error is |E f~_D(Y_N(T)) - oracle|, where `cost` exposes the exact f and
+    the net realization f_tilde.  Without a closed-form oracle, the oracle
+    is the mean of the untruncated f over the reference endpoints.
+    """
+    n_ref = reference_steps(n_list)
+    n_list = sorted(int(n) for n in n_list)
+    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
+    if x0.shape[0] != sys.d:
+        raise ValueError("x0 has wrong dimension")
+    fine = PathBundle(seed, n_paths, n_ref, sys.d, horizon / n_ref)
+    ref_cfg = EulerConfig(horizon, n_ref)
+    ref_factor = ImplicitFactor(sys.A, ref_cfg.h)
+    ref_coeffs = exact_coefficients(sys)
+    ref_grid = ref_cfg.grid()
+    start = np.broadcast_to(x0, (n_paths, sys.d))
+    y_ref = ref_factor.solve(start.copy())
+    runs = [_CoarseRun(sys.A, start, n, horizon, n_ref) for n in n_list]
+    for run in runs:
+        run.err.fold(np.sum((run.y - y_ref) ** 2, axis=1))
+
+    for j in range(n_ref):
+        db = fine.increments(j)
+        y_ref = step_pes(ref_factor, ref_coeffs, y_ref, ref_grid[j], db)
+        for run in runs:
+            run.db = db if j % run.stride == 0 else run.db + db
+            if (j + 1) % run.stride == 0:
+                k = j // run.stride
+                run.y = step_pes(run.factor, coeffs, run.y, run.grid[k], run.db)
+                run.err.fold(np.sum((run.y - y_ref) ** 2, axis=1))
+
+    magnitude = float(np.sqrt(np.mean(y_ref**2) * sys.d))
+    if oracle is None:
+        oracle = float(np.mean(cost.f(y_ref)))
     rows = []
-    for n in n_list:
-        bundle = coarsen(fine_bundle, n_ref // n)
-        end = simulate(sys, coeffs, x0, EulerConfig(horizon, n), bundle)
-        vals = cost.f_tilde(end)
-        est = float(np.mean(vals))
-        stderr = float(np.std(vals) / np.sqrt(len(vals)))
+    for run in runs:
+        err = np.sqrt(run.err.value)
+        if run.err.value == 0.0:
+            stderr = 0.0
+        else:
+            stderr = run.err.stderr / (2.0 * max(err, 1e-300))
+        vals = cost.f_tilde(run.y)
         rows.append(
             {
-                "N": n,
-                "h": horizon / n,
-                "weak_err": abs(est - oracle),
+                "N": run.n,
+                "h": horizon / run.n,
+                "strong_err": err,
                 "stderr": stderr,
+                "weak_err": abs(float(np.mean(vals)) - oracle),
+                "weak_stderr": float(np.std(vals) / np.sqrt(len(vals))),
             }
         )
-    slope = fit_loglog_slope([r["h"] for r in rows], [r["weak_err"] for r in rows])
-    return {"rows": rows, "slope": slope, "oracle": oracle, "theta": cost.theta}
+    hs = [r["h"] for r in rows]
+    return {
+        "rows": rows,
+        "strong_slope": fit_loglog_slope(hs, [r["strong_err"] for r in rows], magnitude),
+        "weak_slope": fit_loglog_slope(hs, [r["weak_err"] for r in rows]),
+        "oracle": oracle,
+    }
 
 
 def coupled_gap_check(sys, coeffs, x0, cfg, bundle):
@@ -528,20 +515,14 @@ def coupled_gap_check(sys, coeffs, x0, cfg, bundle):
     exp((2 beta + 1) T) T (1+eta) gamma^2 / eta, and the MC stderr at the
     maximizing time.
     """
-    record = range(cfg.steps + 1)
-    _, snaps_exact = simulate(sys, exact_coefficients(sys), x0, cfg, bundle, record)
-    _, snaps_pert = simulate(sys, coeffs, x0, cfg, bundle, record)
-    worst = 0.0
-    worst_se = 0.0
-    for k in record:
-        sq = np.sum((snaps_exact[k] - snaps_pert[k]) ** 2, axis=1)
-        mean_sq = float(np.mean(sq))
-        if mean_sq >= worst:
-            worst = mean_sq
-            worst_se = float(np.std(sq) / np.sqrt(len(sq)))
+    gap = _GridMax()
+    exact = _trajectory(sys, exact_coefficients(sys), x0, cfg, bundle)
+    perturbed = _trajectory(sys, coeffs, x0, cfg, bundle)
+    for y, y_pert in zip(exact, perturbed):
+        gap.fold(np.sum((y - y_pert) ** 2, axis=1))
     return {
-        "gap": worst,
-        "stderr": worst_se,
+        "gap": gap.value,
+        "stderr": gap.stderr,
         "bound": gap_bound(sys, cfg.horizon, coeffs.gamma),
         "gamma": coeffs.gamma,
     }
@@ -554,23 +535,15 @@ def moment_check(sys, x0, cfg, bundle, p=2.0):
     max-over-grid second-moment bound, and a two-chain one-step stability
     probe.  Each estimate must sit below bound + 3 stderr.
     """
-    record = range(cfg.steps + 1)
-    end, snaps = simulate(sys, exact_coefficients(sys), x0, cfg, bundle, record)
+    second = _GridMax()
+    for end in _trajectory(sys, exact_coefficients(sys), x0, cfg, bundle):
+        second.fold(np.sum(end**2, axis=1))
+    bound2 = float(discrete_moment_bound(sys, x0, cfg.horizon))
 
     norms_p = np.sum(end**2, axis=1) ** (p / 2.0)
     est_p = float(np.mean(norms_p))
     se_p = float(np.std(norms_p) / np.sqrt(len(norms_p)))
     bound_p = float(moment_bound(sys, x0, cfg.horizon, p))
-
-    worst2 = 0.0
-    worst2_se = 0.0
-    for k in record:
-        sq = np.sum(snaps[k] ** 2, axis=1)
-        m = float(np.mean(sq))
-        if m >= worst2:
-            worst2 = m
-            worst2_se = float(np.std(sq) / np.sqrt(len(sq)))
-    bound2 = float(discrete_moment_bound(sys, x0, cfg.horizon))
 
     # one-step stability: for h <= 2 eta two coupled chains satisfy
     #   E[|dz|^2 + 2h <dz, A dz>] <= E[(1+2 beta h)|dy|^2 + 2h <dy, A dy>]
@@ -601,9 +574,9 @@ def moment_check(sys, x0, cfg, bundle, p=2.0):
         "moment_stderr": se_p,
         "moment_bound": bound_p,
         "moment_ok": est_p <= bound_p + 3.0 * se_p,
-        "discrete_est": worst2,
-        "discrete_stderr": worst2_se,
+        "discrete_est": second.value,
+        "discrete_stderr": second.stderr,
         "discrete_bound": bound2,
-        "discrete_ok": worst2 <= bound2 + 3.0 * worst2_se,
+        "discrete_ok": second.value <= bound2 + 3.0 * second.stderr,
         "one_step_stable": stable_ok,
     }

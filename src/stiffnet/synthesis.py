@@ -28,7 +28,15 @@ import numpy as np
 
 from .calculus import add_compose, combine, compose, identity_net
 from .network import Network, fold_affine, realize
-from .sde import ImplicitFactor, PathBundle, PerturbedCoefficients, simulate, EulerConfig
+from .sde import (
+    EulerConfig,
+    ImplicitFactor,
+    PathBundle,
+    PerturbedCoefficients,
+    simulate,
+    step_floor,
+)
+from .systems import make_quadratic_cost
 
 __all__ = [
     "SynthesisBudget",
@@ -112,8 +120,6 @@ def plan_budget(eps, d, eta, kappa, tau, horizon, beta=0.0, cplan=1.0):
     from h; delta and M come from the remaining two inequalities (delta
     additionally capped below 1/2 so it is a valid network accuracy).
     """
-    from .sde import step_floor
-
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     if cplan <= 0.0:
@@ -167,8 +173,6 @@ def cplan_floor(eps, d, eta, kappa, tau, horizon, beta=0.0):
     Useful before a cross-dimensional study: evaluating at the largest d
     keeps the planned N at the floor across the whole sweep.
     """
-    from .sde import step_floor
-
     a1 = 6.0 * kappa + max(tau, 2.0 * kappa)
     p_h = 2.0 * eta / (3.0 * eta + 4.0)
     n_floor = max(math.ceil(step_floor(horizon, beta, eta)), MIN_STEPS)
@@ -233,8 +237,6 @@ def plan_cost(d, budget, kappa, beta_weights=None):
     quadratic allocation keeps the sawtooth stage count strictly increasing
     under each halving of eps at only logarithmic size cost).
     """
-    from .systems import make_quadratic_cost
-
     if beta_weights is None:
         beta_weights = np.ones(d)
     beta_weights = np.asarray(beta_weights, dtype=np.float64).reshape(-1)

@@ -40,9 +40,9 @@ from stiffnet import (
     moment_check,
     perturb_coefficients,
     plan_budget,
+    rate_study,
     realize,
     square_unit_net,
-    strong_rate_study,
     uniform_cube_measure,
     unroll_value_net,
     weighted_square_net,
@@ -249,10 +249,11 @@ def test_criterion_05_strong_rate():
     }
     slopes = {}
     for name, (rec, x0) in cases.items():
-        res = strong_rate_study(
-            rec.system, exact_coefficients(rec.system), x0, n_list, 1.0, SEED, 4096
+        cost = make_quadratic_cost(np.ones(rec.d), 3.0, 1e-3)
+        res = rate_study(
+            rec.system, exact_coefficients(rec.system), cost, x0, n_list, 1.0, SEED, 4096
         )
-        slopes[name] = res["slope"]
+        slopes[name] = res["strong_slope"]
     ok = all(0.4 <= s <= 0.6 for s in slopes.values())
     detail = ", ".join("%s slope %.3f" % kv for kv in slopes.items())
     _report(5, "strong rate in [0.4, 0.6]", ok, detail, t0, 300)

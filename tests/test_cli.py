@@ -82,6 +82,22 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["calculus-check", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"study": "calculus-check", "instances": -3},
+        {"study": "calculus-check", "points": 0},
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [3, 8]},
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [0, 8]},
+    ],
+)
+def test_values_a_study_cannot_run_on_exit_2(tmp_path, cfg):
+    path = _write_config(tmp_path, cfg)
+    out = os.path.join(tmp_path, "out")
+    assert main([cfg["study"], "--config", path, "--out", out]) == EXIT_CONFIG
+    assert not os.path.exists(out)
+
+
 def test_subcommand_study_mismatch_exits_2(tmp_path):
     path = _write_config(tmp_path, {"study": "calculus-check"})
     assert main(["game", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -114,6 +130,19 @@ def test_calculus_check_study(tmp_path):
     assert rows and all(
         float(r["max_rel_err"]) <= 1e-12 and r["bound_ok"] == "1" for r in rows
     )
+
+
+def test_synth_n_samples_sets_the_l2_sample_count(tmp_path):
+    base = {"study": "synth", "system": "ou", "d": 2, "eps": 0.5, "seed": 3}
+    errors = []
+    for n_samples in (None, 16):
+        cfg = base if n_samples is None else dict(base, n_samples=n_samples)
+        path = _write_config(tmp_path, cfg)
+        out = os.path.join(tmp_path, "out%s" % n_samples)
+        main(["synth", "--config", path, "--out", out])
+        with open(os.path.join(out, "synth.csv")) as fh:
+            errors.append(float(next(csv.DictReader(fh))["l2_error"]))
+    assert errors[0] != errors[1]
 
 
 def test_game_study_and_manifest_round_trip(tmp_path):

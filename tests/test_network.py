@@ -167,6 +167,19 @@ def test_serialization_text_round_trip_extreme_values():
         assert np.array_equal(a.bias, b.bias)
 
 
+def test_network_from_text_rejects_truncated_file():
+    text = network_to_text(identity_net(2, 2))
+    cut = "\n".join(text.splitlines()[:-2]) + "\n"  # drop the last layer's bias
+    with pytest.raises(ValueError, match="truncated"):
+        network_from_text(cut)
+
+
+def test_network_from_text_rejects_trailing_lines():
+    text = network_to_text(identity_net(2, 2)) + "0x1.0p+0 0x1.0p+0\n\n"
+    with pytest.raises(ValueError, match="trailing"):
+        network_from_text(text)
+
+
 def test_networks_are_immutable():
     net = identity_net(2, 2)
     with pytest.raises((ValueError, AttributeError)):

@@ -7,7 +7,6 @@ from stiffnet import (
     EulerConfig,
     PathBundle,
     StiffSystem,
-    coarsen,
     coupled_gap_check,
     exact_coefficients,
     make_ou,
@@ -15,11 +14,10 @@ from stiffnet import (
     moment_check,
     ou_exact_value,
     perturb_coefficients,
+    rate_study,
     simulate,
     step_pes,
-    strong_rate_study,
     validate_system,
-    weak_rate_study,
 )
 from stiffnet.sde import (
     ImplicitFactor,
@@ -219,13 +217,6 @@ def test_increment_statistics():
     assert abs(np.var(db) - 0.25) < 0.01
 
 
-def test_coarsen_sums_fine_increments():
-    fine = PathBundle(7, 4, 8, 2, 0.125)
-    coarse = coarsen(fine, 4)
-    want = sum(fine.increments(k) for k in range(4))
-    assert np.max(np.abs(coarse.increments(0) - want)) <= 1e-15
-
-
 # -------------------------------------------------------------- OU oracle
 
 
@@ -254,45 +245,51 @@ def test_ou_exact_value_zero_horizon():
 # ------------------------------------------------------------- rate studies
 
 
+def _strong_cost(d):
+    # the quadratic cost the convergence study uses
+    return make_quadratic_cost(np.ones(d), 3.0, 1e-3)
+
+
 def test_strong_rate_zero_system_is_exact():
     sys = _zero_system(2, A=np.diag([1.0, 2.0]))
-    res = strong_rate_study(
-        sys, exact_coefficients(sys), np.zeros(2), [8, 16], 1.0, 0, 16
+    res = rate_study(
+        sys, exact_coefficients(sys), _strong_cost(2), np.zeros(2), [8, 16], 1.0, 0, 16
     )
     assert all(r["strong_err"] == 0.0 for r in res["rows"])
 
 
 def test_strong_rate_slope_band_small():
     rec = make_ou(4, decay=0.5, noise=1.0, sigma_kind="diag")
-    res = strong_rate_study(
+    res = rate_study(
         rec.system,
         exact_coefficients(rec.system),
+        _strong_cost(4),
         np.ones(4),
         [8, 16, 32, 64],
         1.0,
         7,
         512,
     )
-    assert 0.3 <= res["slope"] <= 0.7
+    assert 0.3 <= res["strong_slope"] <= 0.7
 
 
 def test_strong_rate_gamma_floor():
     rec = make_ou(2, decay=0.5, noise=0.5, sigma_kind="diag")
     coeffs = perturb_coefficients(rec.system, 0.2)
-    res = strong_rate_study(
-        rec.system, coeffs, np.ones(2), [16, 32, 64, 128], 1.0, 7, 256
+    res = rate_study(
+        rec.system, coeffs, _strong_cost(2), np.ones(2), [16, 32, 64, 128], 1.0, 7, 256
     )
     # a fixed coefficient perturbation leaves an error floor: the finest-grid
     # error stays above a gamma-proportional level instead of h^(1/2) decay
     errs = [r["strong_err"] for r in res["rows"]]
     assert errs[-1] > 0.05
-    assert res["slope"] < 0.4
+    assert res["strong_slope"] < 0.4
 
 
 def test_weak_rate_zero_cost():
     rec = make_ou(2, decay=0.5, noise=0.3)
     cost = make_quadratic_cost(np.zeros(2), 3.0, 1e-3)
-    res = weak_rate_study(
+    res = rate_study(
         rec.system,
         exact_coefficients(rec.system),
         cost,
@@ -311,7 +308,7 @@ def test_weak_rate_against_ou_oracle():
     cost = make_quadratic_cost(np.ones(2), 4.0, 1e-4)
     x0 = np.array([0.5, 0.5])
     oracle = rec.exact_value(cost.beta_weights, x0, 1.0)
-    res = weak_rate_study(
+    res = rate_study(
         rec.system,
         exact_coefficients(rec.system),
         cost,
@@ -323,7 +320,61 @@ def test_weak_rate_against_ou_oracle():
         oracle=oracle,
     )
     for r in res["rows"]:
-        assert r["weak_err"] <= 0.05 + 3.0 * r["stderr"]
+        assert r["weak_err"] <= 0.05 + 3.0 * r["weak_stderr"]
+
+
+def test_rate_study_brownian_coarse_sums_match_reference():
+    # A = 0, mu = 0, sigma = I: every coarse state is x0 plus the summed fine
+    # increments, so it meets the reference at each coarse grid point
+    d = 2
+    sys = _zero_system(d, sigma=lambda t, x: np.eye(d), sigma_l0=np.sqrt(d))
+    res = rate_study(
+        sys, exact_coefficients(sys), _strong_cost(d), np.ones(d), [2, 4, 8], 1.0, 7, 64
+    )
+    assert all(r["strong_err"] <= 1e-12 for r in res["rows"])
+
+
+def test_rate_study_draws_each_fine_block_once(monkeypatch):
+    draws = []
+    increments = PathBundle.increments
+
+    def counted(self, n):
+        draws.append(n)
+        return increments(self, n)
+
+    monkeypatch.setattr(PathBundle, "increments", counted)
+    rec = make_ou(2, decay=0.5, noise=0.3)
+    rate_study(
+        rec.system,
+        exact_coefficients(rec.system),
+        _strong_cost(2),
+        np.ones(2),
+        [8, 16],
+        1.0,
+        3,
+        8,
+    )
+    assert draws == list(range(64 * 16))
+
+
+def test_rate_study_rejects_step_count_off_the_reference_grid(monkeypatch):
+    def no_draws(self, n):
+        raise AssertionError("drew noise before validating n_list")
+
+    monkeypatch.setattr(PathBundle, "increments", no_draws)
+    rec = make_ou(2, decay=0.5, noise=0.3)
+    for n_list in ([3, 8], [0, 8], []):
+        with pytest.raises(ValueError):
+            rate_study(
+                rec.system,
+                exact_coefficients(rec.system),
+                _strong_cost(2),
+                np.ones(2),
+                n_list,
+                1.0,
+                3,
+                8,
+            )
 
 
 def test_fit_loglog_slope_recovers_power():
