@@ -8,7 +8,6 @@ from .network import (
     NetworkShapeError,
     fold_affine,
     load_network,
-    metrics,
     network_from_text,
     network_to_text,
     realize,

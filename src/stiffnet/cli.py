@@ -60,7 +60,12 @@ from .synthesis import (
     uniform_cube_measure,
     unroll_value_net,
 )
-from .systems import make_controlled_relu_drift, make_quadratic_cost, make_system
+from .systems import (
+    RECIPES,
+    make_controlled_relu_drift,
+    make_quadratic_cost,
+    make_system,
+)
 
 SEED_ENV = "STIFFNET_SEED"
 DEFAULT_SEED = 1234
@@ -160,17 +165,54 @@ def load_config(path, expected_study=None):
     return full
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+def _is_accuracy(v):
+    return _is_number(v) and 0.0 < v <= 1.0
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(map(check, v))
+
+
+_COUNT = (_is_count, "an integer >= 1")
+_ACCURACY = (_is_accuracy, "a number in (0, 1]")
+# the rule each value a runner converts must meet
+_VALUE_RULES = {
+    **{k: _COUNT for k in ("d", "paths", "steps", "n_interventions", "n_points")},
+    **{k: _COUNT for k in ("n_samples", "d_fixed", "instances", "points")},
+    "eps": _ACCURACY,
+    "eps_fixed": _ACCURACY,
+    "d_list": (_list_of(_is_count), "a non-empty list of integers >= 1"),
+    "eps_list": (_list_of(_is_accuracy), "a non-empty list of numbers in (0, 1]"),
+    "horizon": (lambda v: _is_number(v) and 0.0 < v < math.inf, "a finite number > 0"),
+    "system": (
+        lambda v: isinstance(v, str) and v in RECIPES,
+        "one of " + ", ".join(sorted(RECIPES)),
+    ),
+}
+
+
 def _check_values(cfg):
-    """Reject values a study would check nothing with or fail on mid-run."""
-    try:
-        if cfg["study"] == "calculus-check":
-            for key in ("instances", "points"):
-                if int(cfg[key]) < 1:
-                    raise ValueError("%s must be >= 1" % key)
-        elif cfg["study"] == "convergence":
+    """Reject values a study would check nothing with or fail on mid-run.
+
+    Values are checked, never rewritten, so the manifest echoes the config
+    as it was given.
+    """
+    for key, (ok, what) in _VALUE_RULES.items():
+        if key in cfg and not ok(cfg[key]):
+            raise ConfigError("%s must be %s, got %r" % (key, what, cfg[key]))
+    if cfg["study"] == "convergence":
+        try:
             reference_steps(cfg["n_list"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def resolve_seed(cfg):
@@ -477,12 +519,12 @@ def run_synth(cfg, out_dir, seed):
     )
     measure = uniform_cube_measure(eta)
     if recipe.linear:
-        reference = lambda x: recipe.exact_value(cost.beta_weights, x, horizon)
+        reference = lambda xs: recipe.exact_value(cost.beta_weights, xs, horizon)
         ref_kind = "closed_form"
     else:
         coeffs = coefficients_from_nets(recipe.mu_net, recipe.sigma_col_nets)
-        reference = lambda x: mc_reference(
-            recipe.system, coeffs, cost, budget, seed, x
+        reference = lambda xs: mc_reference(
+            recipe.system, coeffs, cost, budget, seed, xs
         )
         ref_kind = "scheme_same_seed"
     err, stderr = l2_error(
@@ -503,23 +545,7 @@ def run_synth(cfg, out_dir, seed):
         "l2_stderr": stderr,
         "wall_ms": wall_ms,
     }
-    write_csv(
-        os.path.join(out_dir, "synth.csv"),
-        [
-            "d",
-            "eps",
-            "N",
-            "M",
-            "D",
-            "delta",
-            "net_size",
-            "net_depth",
-            "l2_error",
-            "l2_stderr",
-            "wall_ms",
-        ],
-        [row],
-    )
+    write_csv(os.path.join(out_dir, "synth.csv"), list(row), [row])
     extra = {
         "cplan": float(cplan),
         "reference": ref_kind,
@@ -565,23 +591,18 @@ def run_game(cfg, out_dir, seed):
 
     grid = StrategyGrid(times=times, u1_actions=u1, u2_actions=u2, g=g_cost)
     s1, s2 = enumerate_strategies(grid)
-    w_nets = []
-    leaf_size = None
-    for strat1 in s1:
-        row = []
-        for strat2 in s2:
-            net, _ = controlled_value_net(
-                strat1, strat2, recipe, cost, budget, seed, grid
-            )
-            leaf_size = net.size
-            row.append(net)
-        w_nets.append(row)
+    w_nets = [
+        [controlled_value_net(a, b, recipe, cost, budget, seed, grid)[0] for b in s2]
+        for a in s1
+    ]
+    leaf_size = w_nets[-1][-1].size
     psi = infsup_net(w_nets)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x6A3E)))
     xs = rng.uniform(0.0, 1.0, (int(cfg["n_points"]), d))
+    directs = brute_force_game_value(recipe, grid, cost, budget, seed, xs)
     agree = 0.0
-    for x in xs:
-        direct = brute_force_game_value(recipe, grid, cost, budget, seed, x)
+    # realize one point per call: a batched realize rounds differently
+    for x, direct in zip(xs, directs):
         via_net = float(realize(psi, x)[0])
         agree = max(agree, abs(direct - via_net) / (1.0 + abs(direct)))
     row = {
@@ -592,11 +613,7 @@ def run_game(cfg, out_dir, seed):
         "net_size": psi.size,
         "agreement_err": agree,
     }
-    write_csv(
-        os.path.join(out_dir, "game.csv"),
-        ["d", "eps", "M_interventions", "n_strategies", "net_size", "agreement_err"],
-        [row],
-    )
+    write_csv(os.path.join(out_dir, "game.csv"), list(row), [row])
     ok = agree <= 1e-8
     return ["game.csv"], {"leaf_size": leaf_size, "delta": delta}, ok
 

@@ -12,7 +12,6 @@ brute-force enumeration to floating point.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -106,6 +105,11 @@ def _schedule(grid, budget, strat1, strat2):
     return action
 
 
+def _control_cost(grid, strat1, strat2):
+    """g(u1_seq, u2_seq) for one strategy pair."""
+    return float(grid.g(grid.u1_actions[list(strat1)], grid.u2_actions[list(strat2)]))
+
+
 def controlled_value_net(strat1, strat2, recipe, cost, budget, seed, grid):
     """Value network for one strategy pair (shared noise, shared arch).
 
@@ -115,12 +119,7 @@ def controlled_value_net(strat1, strat2, recipe, cost, budget, seed, grid):
     the chosen strategies.
     """
     grid.check_on_grid(budget.horizon, budget.steps)
-    shift = float(
-        grid.g(
-            grid.u1_actions[list(strat1)],
-            grid.u2_actions[list(strat2)],
-        )
-    )
+    shift = _control_cost(grid, strat1, strat2)
     psi, report = unroll_value_net(
         recipe.mu_net,
         recipe.sigma_col_nets,
@@ -145,51 +144,44 @@ def infsup_net(w_nets):
     return min_tree(pad_to_pow2(row_nets))
 
 
-def infsup_size_bound(rows, cols, leaf_size):
-    """Conservative bound c (|U1||U2|)^3 C(w) for the inf-sup network."""
-    n_max = math.ceil(math.log2(max(cols, 1))) if cols > 1 else 0
-    n_min = math.ceil(math.log2(max(rows, 1))) if rows > 1 else 0
-    levels = n_max + n_min
-    return 8**levels * (leaf_size + 34.0 / 7.0) - 34.0 / 7.0
-
-
 def _controlled_coeffs(recipe, grid, budget, strat1, strat2):
-    """Piecewise-constant-in-time coefficient callables from the nets."""
+    """Piecewise-constant-in-time coefficient callables from the nets.
+
+    The per-step coefficients are built once; a call at time t uses the
+    ones of the step t falls on.
+    """
     schedule = _schedule(grid, budget, strat1, strat2)
     h = budget.h
+    steps = [
+        coefficients_from_nets(recipe.mu_net, recipe.sigma_col_nets, extra=schedule(n))
+        for n in range(budget.steps)
+    ]
 
     def mu(t, x):
-        extra = schedule(int(round(t / h)))
-        return coefficients_from_nets(
-            recipe.mu_net, recipe.sigma_col_nets, extra=extra
-        ).mu(t, x)
+        return steps[int(round(t / h))].mu(t, x)
 
     def sigma(t, x):
-        extra = schedule(int(round(t / h)))
-        return coefficients_from_nets(
-            recipe.mu_net, recipe.sigma_col_nets, extra=extra
-        ).sigma(t, x)
+        return steps[int(round(t / h))].sigma(t, x)
 
     return PerturbedCoefficients(mu=mu, sigma=sigma, gamma=recipe.gamma)
 
 
 def brute_force_game_value(recipe, grid, cost, budget, seed, x):
-    """inf over u1 of sup over u2 of the simulated value, shared seed."""
+    """inf over u1 of sup over u2 of the simulated value, shared seed.
+
+    One simulation per strategy pair covers every start point: a point x of
+    shape (d,) gives a float, a batch (P, d) a (P,) array.
+    """
     s1, s2 = enumerate_strategies(grid)
-    best = None
-    for strat1 in s1:
-        worst = None
-        for strat2 in s2:
-            coeffs = _controlled_coeffs(recipe, grid, budget, strat1, strat2)
-            val = mc_reference(recipe.system, coeffs, cost, budget, seed, x) + float(
-                grid.g(
-                    grid.u1_actions[list(strat1)],
-                    grid.u2_actions[list(strat2)],
-                )
-            )
-            worst = val if worst is None else max(worst, val)
-        best = worst if best is None else min(best, worst)
-    return best
+
+    def value(strat1, strat2):
+        coeffs = _controlled_coeffs(recipe, grid, budget, strat1, strat2)
+        direct = mc_reference(recipe.system, coeffs, cost, budget, seed, x)
+        return direct + _control_cost(grid, strat1, strat2)
+
+    values = np.array([[value(strat1, strat2) for strat2 in s2] for strat1 in s1])
+    best = values.max(axis=1).min(axis=0)
+    return best if best.ndim else float(best)
 
 
 def game_delta(eps, d, kappa0, n_interventions):

@@ -22,7 +22,6 @@ __all__ = [
     "NetworkShapeError",
     "relu",
     "realize",
-    "metrics",
     "fold_affine",
     "network_to_text",
     "network_from_text",
@@ -138,12 +137,12 @@ class Network:
         )
 
 
-def realize(net, x, activation=relu):
+def realize(net, x):
     """Evaluate the network function at x.
 
     x may be a single input vector of length dim_in or an array whose last
     axis has length dim_in; the function is applied along the last axis.
-    The activation is applied after every layer except the last.
+    ReLU is applied after every layer except the last.
     """
     x = np.asarray(x, dtype=np.float64)
     squeeze = False
@@ -162,15 +161,10 @@ def realize(net, x, activation=relu):
         squeeze = True
         x = x[None, :]
     for layer in net.layers[:-1]:
-        x = activation(x @ layer.weight.T + layer.bias)
+        x = relu(x @ layer.weight.T + layer.bias)
     last = net.layers[-1]
     x = x @ last.weight.T + last.bias
     return x[0] if squeeze else x
-
-
-def metrics(net):
-    """Return (depth, dims, size)."""
-    return net.depth, net.dims, net.size
 
 
 def fold_affine(net, side, mat, vec=None):

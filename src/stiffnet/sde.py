@@ -21,6 +21,7 @@ keyed by (seed, n) and path m reads row m.  Path sets are therefore
 identical no matter how work is scheduled.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -238,7 +239,6 @@ class ImplicitFactor:
     def __init__(self, A, h):
         A = np.asarray(A, dtype=np.float64)
         d = A.shape[0]
-        self.A = A
         self.h = float(h)
         self.d = d
         system = np.eye(d) + self.h * A
@@ -252,30 +252,22 @@ class ImplicitFactor:
             raise np.linalg.LinAlgError("I + hA factorization is not finite")
 
     def solve(self, r):
-        """Solve (I + hA) z = r for a vector or a batch (..., d)."""
+        """Solve (I + hA) z = r for a vector, an (M, d) batch or (P, M, d).
+
+        A (P, M, d) stack is solved one (M, d) block per LAPACK call: the
+        rounding of a right-hand side depends on how many others share the
+        call, so each block comes out as it does when solved alone.
+        """
         r = np.asarray(r, dtype=np.float64)
         if r.ndim == 1:
             return lu_solve(self._lu, r)
-        flat = r.reshape(-1, self.d)
-        return lu_solve(self._lu, flat.T).T.reshape(r.shape)
+        if r.ndim == 3:
+            return np.stack([lu_solve(self._lu, block.T).T for block in r])
+        return lu_solve(self._lu, r.T).T
 
     def inverse(self):
         """Explicit (I + hA)^{-1}, for folding into network layers."""
         return lu_solve(self._lu, np.eye(self.d))
-
-    def check_contraction(self, probes=100, seed=0):
-        """Remark-level sanity: both solve and hA*solve are nonexpansive."""
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        ok = True
-        for _ in range(probes):
-            r = rng.normal(0.0, 1.0, self.d)
-            z = self.solve(r)
-            rn = np.linalg.norm(r)
-            if np.linalg.norm(z) > rn * (1 + 1e-12):
-                ok = False
-            if np.linalg.norm(self.h * (self.A @ z)) > rn * (1 + 1e-12):
-                ok = False
-        return ok
 
 
 def step_pes(factor, coeffs, y, t_n, db):
@@ -290,24 +282,36 @@ def step_pes(factor, coeffs, y, t_n, db):
     return out
 
 
-def _trajectory(sys, coeffs, x0, cfg, bundle):
-    """Yield the (M, d) scheme state at steps 0..N (0 = after the projection)."""
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    if x0.shape[0] != sys.d:
+def _trajectory(sys, coeffs, x0, cfg, bundle, noise=None):
+    """Yield the (..., M, d) scheme state at steps 0..N (0 = after the projection).
+
+    x0 is one start point (d,) or a batch (P, d); every start point steps
+    on the bundle's M paths.  `noise` yields step n's (M, d) block; it
+    defaults to drawing the bundle's blocks in step order.
+    """
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.ndim not in (1, 2) or x0.shape[-1] != sys.d:
         raise ValueError("x0 has wrong dimension")
     if bundle.n_steps < cfg.steps:
         raise ValueError("bundle has fewer steps than the configuration")
+    if noise is None:
+        noise = (bundle.increments(n) for n in range(cfg.steps))
     factor = ImplicitFactor(sys.A, cfg.h)
-    y = factor.solve(np.broadcast_to(x0, (bundle.n_paths, sys.d)).copy())
+    start = np.broadcast_to(x0[..., None, :], x0.shape[:-1] + (bundle.n_paths, sys.d))
+    y = factor.solve(start.copy())
     yield y
     grid = cfg.grid()
-    for n in range(cfg.steps):
-        y = step_pes(factor, coeffs, y, grid[n], bundle.increments(n))
+    for n, db in enumerate(noise):
+        y = step_pes(factor, coeffs, y, grid[n], db)
         yield y
 
 
 def simulate(sys, coeffs, x0, cfg, bundle):
-    """Run the scheme for all paths in the bundle; returns (M, d) endpoints."""
+    """Run the scheme for all paths in the bundle.
+
+    A start point x0 of shape (d,) gives (M, d) endpoints; a batch (P, d)
+    gives (P, M, d), row [p, m] driven by path m's noise.
+    """
     for y in _trajectory(sys, coeffs, x0, cfg, bundle):
         pass
     return y
@@ -317,13 +321,14 @@ def ou_exact_value(A, sigma0, betaw, x0, horizon):
     """E sum_m beta_m (Y_m)^2 at time T for dY = -AY dt + sigma0 dB.
 
     Mean is exp(-TA) x0; the covariance integral of the matrix exponential
-    is evaluated by adaptive quadrature (robust for singular A).
+    is evaluated once by adaptive quadrature (robust for singular A).  A
+    start point x0 of shape (d,) gives a float, a batch (P, d) a (P,) array.
     """
     A = np.asarray(A, dtype=np.float64)
     sigma0 = np.asarray(sigma0, dtype=np.float64)
     betaw = np.asarray(betaw, dtype=np.float64).reshape(-1)
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    mean = expm(-horizon * A) @ x0
+    x0 = np.asarray(x0, dtype=np.float64)
+    decay = expm(-horizon * A)
     q = sigma0 @ sigma0.T
 
     def integrand(s):
@@ -331,7 +336,9 @@ def ou_exact_value(A, sigma0, betaw, x0, horizon):
         return e @ q @ e.T
 
     cov, _ = quad_vec(integrand, 0.0, horizon, epsabs=1e-12, epsrel=1e-12)
-    return float(betaw @ (mean**2 + np.diag(cov)))
+    var = np.diag(cov)
+    values = [float(betaw @ ((decay @ x) ** 2 + var)) for x in x0.reshape(-1, len(A))]
+    return np.array(values) if x0.ndim == 2 else values[0]
 
 
 def alpha_p(sys, p):
@@ -516,8 +523,10 @@ def coupled_gap_check(sys, coeffs, x0, cfg, bundle):
     maximizing time.
     """
     gap = _GridMax()
-    exact = _trajectory(sys, exact_coefficients(sys), x0, cfg, bundle)
-    perturbed = _trajectory(sys, coeffs, x0, cfg, bundle)
+    # the two runs share each block, drawn once
+    noise = itertools.tee(bundle.increments(n) for n in range(cfg.steps))
+    exact = _trajectory(sys, exact_coefficients(sys), x0, cfg, bundle, noise[0])
+    perturbed = _trajectory(sys, coeffs, x0, cfg, bundle, noise[1])
     for y, y_pert in zip(exact, perturbed):
         gap.fold(np.sum((y - y_pert) ** 2, axis=1))
     return {

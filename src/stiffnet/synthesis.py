@@ -62,6 +62,10 @@ MIN_STEPS = 8
 MIN_PATHS = 8
 MAX_STEPS = 1 << 20
 MAX_PATHS = 1 << 20
+# calibration measures the d=2 error on this many points, starting from this
+# multiple of the step-floor planner constant
+CALIBRATION_SAMPLES = 256
+CALIBRATION_MARGIN = 2.0
 
 
 class BudgetError(RuntimeError):
@@ -192,33 +196,31 @@ def calibrate_cplan(
     horizon,
     seed,
     d_max=16,
-    n_samples=256,
-    margin=2.0,
 ):
     """Calibrate the planner constant on a d=2 instance, then freeze it.
 
-    The candidate starts at `margin` times the value that keeps inequality
-    1 slack up to d_max (so subsequent sweeps stay desk-scale) and is
-    verified by synthesizing the d=2 value network and measuring its L2
-    error against the recipe's closed-form value; candidates are reduced
-    geometrically until the measured error is within eps.
+    The candidate starts at CALIBRATION_MARGIN times the value that keeps
+    inequality 1 slack up to d_max (so subsequent sweeps stay desk-scale)
+    and is verified by synthesizing the d=2 value network and measuring its
+    L2 error on CALIBRATION_SAMPLES points against the recipe's closed-form
+    value; candidates are reduced geometrically until the measured error is
+    within eps.
     """
     recipe = recipe_factory(2)
-    cand = margin * cplan_floor(eps, d_max, eta, kappa, tau, horizon, beta=recipe.system.beta)
+    beta = recipe.system.beta
+    cand = CALIBRATION_MARGIN * cplan_floor(
+        eps, d_max, eta, kappa, tau, horizon, beta=beta
+    )
     measure = uniform_cube_measure(eta)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0xCA11)))
     for _ in range(8):
-        budget = plan_budget(
-            eps, 2, eta, kappa, tau, horizon, beta=recipe.system.beta, cplan=cand
-        )
+        budget = plan_budget(eps, 2, eta, kappa, tau, horizon, beta=beta, cplan=cand)
         cost = cost_factory(2, budget)
         psi, _ = unroll_value_net(
             recipe.mu_net, recipe.sigma_col_nets, cost.net, recipe.system, budget, seed
         )
-        xs = measure.sampler(rng, n_samples, 2)
-        ref = np.array(
-            [recipe.exact_value(cost.beta_weights, x, horizon) for x in xs]
-        )
+        xs = measure.sampler(rng, CALIBRATION_SAMPLES, 2)
+        ref = recipe.exact_value(cost.beta_weights, xs, horizon)
         est, _ = l2_error_values(realize(psi, xs)[..., 0], ref)
         if est <= eps:
             return cand
@@ -343,12 +345,14 @@ def unroll_value_net(
     )
     width_ok = True
 
+    blocks = [bundle.increments(n) for n in range(n_steps)]
     path_nets = []
     for m in range(n_paths):
         psi = fold_affine(identity_net(d, 1), "post", inv)
         for n in range(n_steps):
-            b = bundle.increments(n)[m]
-            sigma_branch = _as_branch(diffusion_contract_net(sigma_col_nets, b), d)
+            sigma_branch = _as_branch(
+                diffusion_contract_net(sigma_col_nets, blocks[n][m]), d
+            )
             u = [n * h]
             if action_schedule is not None:
                 u = list(u) + list(action_schedule(n))
@@ -395,13 +399,16 @@ def unroll_size_bound(d, n_steps, n_paths, cost_size, sigma_col_sizes):
 def mc_reference(sys, coeffs, cost, budget, seed, x):
     """Direct simulation oracle for the synthesized network.
 
-    Runs the scheme with the same seed convention as unroll_value_net and
-    averages the cost network's realization over the endpoint cloud.
+    Runs the scheme once with the same seed convention as unroll_value_net
+    and averages the cost network's realization over the endpoint cloud.
+    A start point x of shape (d,) gives a float, a batch (P, d) a (P,)
+    array.
     """
     bundle = PathBundle(seed, budget.paths, budget.steps, sys.d, budget.h)
     cfg = EulerConfig(budget.horizon, budget.steps)
     end = simulate(sys, coeffs, x, cfg, bundle)
-    return float(np.mean(cost.f_tilde(end)))
+    values = np.mean(cost.f_tilde(end), axis=-1)
+    return values if values.ndim else float(values)
 
 
 def l2_error_values(estimates, references):
@@ -415,9 +422,11 @@ def l2_error_values(estimates, references):
 
 
 def l2_error(psi, reference, measure, d, n_samples, seed):
-    """L2(nu) distance between the network and a reference value function."""
+    """L2(nu) distance between the network and a reference value function.
+
+    `reference` maps the (n_samples, d) sample to its reference values.
+    """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     xs = measure.sampler(rng, n_samples, d)
     vals = realize(psi, xs)[..., 0]
-    refs = np.array([reference(x) for x in xs])
-    return l2_error_values(vals, refs)
+    return l2_error_values(vals, reference(xs))

@@ -47,27 +47,19 @@ class SystemRecipe:
     control_dims: Optional[tuple] = None  # (m1, m2) for controlled recipes
 
     def exact_value(self, betaw, x0, horizon):
+        """Closed-form value at a start point (d,) or a batch (P, d)."""
         if not self.linear:
             raise ValueError("closed-form value only available for linear recipes")
         return ou_exact_value(self.system.A, self.sigma0, betaw, x0, horizon)
 
 
-def _zero_drift_net(d, width, extra_in=0):
+def _constant_net(d, width, value=0.0, extra_in=0):
+    # input (t, x[, u]); realizes the constant vector `value` (zero drift by default)
     n_in = d + 1 + extra_in
     return Network(
         [
             Layer(np.zeros((width, n_in)), np.zeros(width)),
-            Layer(np.zeros((d, width)), np.zeros(d)),
-        ]
-    )
-
-
-def _constant_column_net(d, width, value, extra_in=0):
-    n_in = d + 1 + extra_in
-    return Network(
-        [
-            Layer(np.zeros((width, n_in)), np.zeros(width)),
-            Layer(np.zeros((d, width)), np.asarray(value, dtype=np.float64)),
+            Layer(np.zeros((d, width)), np.broadcast_to(value, (d,))),
         ]
     )
 
@@ -131,7 +123,7 @@ def make_ou(d, decay=0.5, noise=0.1, eta=0.5, sigma_kind="const"):
         sigma_l0 = s * np.sqrt(d)
         sigma_l1 = 0.0
         width = 1  # smallest architecture that holds the constant columns
-        cols = [_constant_column_net(d, width, sigma0[:, i]) for i in range(d)]
+        cols = [_constant_net(d, width, sigma0[:, i]) for i in range(d)]
         linear = True
     elif sigma_kind == "diag":
         sigma0 = None
@@ -161,7 +153,7 @@ def make_ou(d, decay=0.5, noise=0.1, eta=0.5, sigma_kind="const"):
         id="ou",
         d=d,
         system=sysm,
-        mu_net=_zero_drift_net(d, cols[0].dims[1]),
+        mu_net=_constant_net(d, cols[0].dims[1]),
         sigma_col_nets=cols,
         gamma=0.0,
         params={"decay": a, "noise": s, "eta": eta, "sigma_kind": sigma_kind},
@@ -201,7 +193,7 @@ def make_galerkin_heat(
         sigma_l0 = s * np.sqrt(d)
         sigma_l1 = 0.0
         width = d if c != 0.0 else 1
-        cols = [_constant_column_net(d, width, sigma0[:, i]) for i in range(d)]
+        cols = [_constant_net(d, width, sigma0[:, i]) for i in range(d)]
         linear = c == 0.0
     elif sigma_kind == "diag":
         sigma0 = None
@@ -227,9 +219,7 @@ def make_galerkin_heat(
         sigma_l1=sigma_l1,
         kappa0=max(2.0, a * np.pi**2),
     )
-    mu_net = (
-        _relu_drift_net(d, c) if c != 0.0 else _zero_drift_net(d, cols[0].dims[1])
-    )
+    mu_net = _relu_drift_net(d, c) if c != 0.0 else _constant_net(d, cols[0].dims[1])
     recipe = SystemRecipe(
         id="galerkin_heat",
         d=d,
@@ -281,15 +271,13 @@ def make_relu_drift_system(d, l_mu=1.0, eta=0.5, noise_scale=0.0):
         kappa0=1.0,
     )
     width = d if l_mu != 0.0 else 1
-    mu_net = _relu_drift_net(d, l_mu) if l_mu != 0.0 else _zero_drift_net(d, width)
+    mu_net = _relu_drift_net(d, l_mu) if l_mu != 0.0 else _constant_net(d, width)
     recipe = SystemRecipe(
         id="relu_drift",
         d=d,
         system=sysm,
         mu_net=mu_net,
-        sigma_col_nets=[
-            _constant_column_net(d, width, sigma0[:, i]) for i in range(d)
-        ],
+        sigma_col_nets=[_constant_net(d, width, sigma0[:, i]) for i in range(d)],
         gamma=0.0,
         params={"l_mu": l_mu, "eta": eta, "noise_scale": s},
         sigma0=sigma0,
@@ -327,9 +315,6 @@ def make_controlled_relu_drift(
         u = np.concatenate([np.atleast_1d(u1), np.atleast_1d(u2)])
         return l_mu * np.maximum(x, 0.0) + b_all @ u
 
-    def sigma(t, x, u1, u2):
-        return sigma0
-
     # uncontrolled envelope used only for hypothesis validation: the action
     # shift is common to both arguments of the monotonicity inequality
     def mu_frozen(t, x):
@@ -356,10 +341,7 @@ def make_controlled_relu_drift(
     w1[d + m_total :, 1 + d :] = -np.eye(m_total)
     w2 = np.hstack([l_mu * np.eye(d), b_all, -b_all])
     mu_net = Network([Layer(w1, np.zeros(width)), Layer(w2, np.zeros(d))])
-    col_nets = [
-        _constant_column_net(d, width, sigma0[:, i], extra_in=m_total)
-        for i in range(d)
-    ]
+    col_nets = [_constant_net(d, width, sigma0[:, i], m_total) for i in range(d)]
     recipe = SystemRecipe(
         id="controlled_relu_drift",
         d=d,
@@ -379,9 +361,6 @@ def make_controlled_relu_drift(
         control_dims=(m1, m2),
     )
     recipe.controlled_mu = mu
-    recipe.controlled_sigma = sigma
-    recipe.b1 = b1
-    recipe.b2 = b2
     return _validated(recipe)
 
 

@@ -89,6 +89,16 @@ def test_bad_config_exits_2(tmp_path):
         {"study": "calculus-check", "points": 0},
         {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [3, 8]},
         {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [0, 8]},
+        {"study": "convergence", "system": "ou", "d": "four", "paths": 8, "n_list": [8]},
+        {"study": "convergence", "system": "nope", "d": 2, "paths": 8, "n_list": [8]},
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 0, "n_list": [8]},
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8], "horizon": 0},
+        {"study": "synth", "system": "ou", "d": 2, "eps": 1.5},
+        {"study": "game", "d": 2, "n_points": 0},
+        {"study": "game", "d": 2, "steps": 2.5},
+        {"study": "scaling", "d_list": [2, True]},
+        {"study": "scaling", "eps_list": []},
+        {"study": "scaling", "eps_fixed": 0.0},
     ],
 )
 def test_values_a_study_cannot_run_on_exit_2(tmp_path, cfg):

@@ -221,6 +221,32 @@ def test_controlled_value_matches_brute_force():
         assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
 
 
+def test_brute_force_batch_equals_single_points_one_simulation_per_pair(monkeypatch):
+    import stiffnet.game as game
+
+    d = 2
+    rec = make_controlled_relu_drift(d, l_mu=0.3, noise_scale=0.1)
+    grid = _grid(2, g=lambda u1, u2: float(np.sum(u1) - np.sum(u2)))
+    budget = _budget(4, 8)
+    cost = plan_cost(d, budget, kappa=1.0)
+    xs = np.random.default_rng(4).uniform(0.0, 1.0, size=(20, d))
+    singles = [brute_force_game_value(rec, grid, cost, budget, 13, x) for x in xs]
+
+    calls = []
+    mc_reference = game.mc_reference
+
+    def counted(*args):
+        calls.append(1)
+        return mc_reference(*args)
+
+    monkeypatch.setattr(game, "mc_reference", counted)
+    batch = brute_force_game_value(rec, grid, cost, budget, 13, xs)
+    assert len(calls) == 16  # 4 x 4 strategy pairs, all 20 points per call
+    assert batch.shape == (20,)
+    assert isinstance(singles[0], float)
+    assert np.array_equal(batch, singles)
+
+
 def test_controlled_singleton_reduces_to_uncontrolled_plus_g():
     d = 2
     rec = make_controlled_relu_drift(d, l_mu=0.3, noise_scale=0.1)

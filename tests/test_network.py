@@ -12,7 +12,6 @@ from stiffnet import (
     fold_affine,
     identity_net,
     load_network,
-    metrics,
     network_from_text,
     network_to_text,
     psi_max_net,
@@ -34,10 +33,8 @@ def test_size_counts_zero_entries():
     )
     # size is sum N_l (N_{l-1}+1) regardless of sparsity
     assert net.size == 4 * 4 + 1 * 5
-    depth, dims, size = metrics(net)
-    assert depth == 2
-    assert dims == (3, 4, 1)
-    assert size == net.size
+    assert net.depth == 2
+    assert net.dims == (3, 4, 1)
 
 
 def test_identity_sizes():

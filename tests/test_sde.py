@@ -9,6 +9,7 @@ from stiffnet import (
     StiffSystem,
     coupled_gap_check,
     exact_coefficients,
+    make_galerkin_heat,
     make_ou,
     make_quadratic_cost,
     moment_check,
@@ -200,6 +201,37 @@ def test_simulate_deterministic_given_seed():
     assert np.array_equal(runs[0], runs[1])
 
 
+def test_simulate_batch_rows_equal_single_point_runs():
+    # row [p, m] of a batched run is start point p driven by path m's noise
+    for rec in (
+        make_ou(3, decay=0.5, noise=0.3),
+        make_ou(16, decay=0.5, noise=0.5, sigma_kind="diag"),
+        make_galerkin_heat(5, diffusivity=0.5, drift_scale=0.4, noise_scale=0.2),
+    ):
+        d = rec.d
+        cfg = EulerConfig(1.0, 8)
+        xs = np.random.default_rng(2).uniform(-1, 1, size=(5, d))
+        for paths in (1, 3, 8):
+            bundle = PathBundle(11, paths, 8, d, cfg.h)
+            coeffs = exact_coefficients(rec.system)
+            batch = simulate(rec.system, coeffs, xs, cfg, bundle)
+            assert batch.shape == (5, paths, d)
+            for x, rows in zip(xs, batch):
+                assert np.array_equal(rows, simulate(rec.system, coeffs, x, cfg, bundle))
+
+
+def _count_draws(monkeypatch):
+    draws = []
+    increments = PathBundle.increments
+
+    def counted(self, n):
+        draws.append(n)
+        return increments(self, n)
+
+    monkeypatch.setattr(PathBundle, "increments", counted)
+    return draws
+
+
 # -------------------------------------------------------------- path bundle
 
 
@@ -240,6 +272,37 @@ def test_ou_exact_value_zero_horizon():
     beta = np.array([2.0, 0.5])
     got = ou_exact_value(np.eye(2), np.eye(2), beta, x0, 0.0)
     assert got == pytest.approx(2.0 + 4.5, rel=1e-12)
+
+
+def test_ou_exact_value_batch_equals_single_points(monkeypatch):
+    import stiffnet.sde as sde
+
+    quads = []
+    quad_vec = sde.quad_vec
+
+    def counted(*args, **kwargs):
+        quads.append(1)
+        return quad_vec(*args, **kwargs)
+
+    A = np.array([[1.0, 0.3, 0.0], [-0.2, 0.8, 0.1], [0.0, 0.4, 1.5]])
+    sigma0 = np.array([[0.5, 0.0, 0.1], [0.2, 0.3, 0.0], [0.0, 0.1, 0.4]])
+    betaw = np.array([1.0, 0.5, 2.0])
+    xs = np.random.default_rng(3).normal(size=(20, 3))
+    singles = [ou_exact_value(A, sigma0, betaw, x, 1.5) for x in xs]
+    monkeypatch.setattr(sde, "quad_vec", counted)
+    batch = ou_exact_value(A, sigma0, betaw, xs, 1.5)
+    assert batch.shape == (20,)
+    assert np.array_equal(batch, singles)
+    assert len(quads) == 1
+    assert isinstance(singles[0], float)
+
+
+def test_recipe_exact_value_batch_equals_single_points():
+    rec = make_ou(4, decay=0.5, noise=0.1)
+    betaw = np.arange(1.0, 5.0)
+    xs = np.random.default_rng(4).uniform(size=(6, 4))
+    singles = [rec.exact_value(betaw, x, 1.0) for x in xs]
+    assert np.array_equal(rec.exact_value(betaw, xs, 1.0), singles)
 
 
 # ------------------------------------------------------------- rate studies
@@ -335,14 +398,7 @@ def test_rate_study_brownian_coarse_sums_match_reference():
 
 
 def test_rate_study_draws_each_fine_block_once(monkeypatch):
-    draws = []
-    increments = PathBundle.increments
-
-    def counted(self, n):
-        draws.append(n)
-        return increments(self, n)
-
-    monkeypatch.setattr(PathBundle, "increments", counted)
+    draws = _count_draws(monkeypatch)
     rec = make_ou(2, decay=0.5, noise=0.3)
     rate_study(
         rec.system,
@@ -402,6 +458,16 @@ def test_gap_zero_for_exact_coefficients():
     )
     assert rep["gap"] == 0.0
     assert rep["bound"] == 0.0
+
+
+def test_gap_check_draws_each_block_once(monkeypatch):
+    draws = _count_draws(monkeypatch)
+    rec = make_ou(2, decay=0.5, noise=0.3)
+    cfg = EulerConfig(1.0, 32)
+    bundle = PathBundle(10, 64, 32, 2, cfg.h)
+    coeffs = perturb_coefficients(rec.system, 0.01)
+    coupled_gap_check(rec.system, coeffs, np.ones(2), cfg, bundle)
+    assert draws == list(range(32))
 
 
 def test_gap_bound_formula():

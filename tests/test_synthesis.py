@@ -201,6 +201,24 @@ def test_unroll_matches_mc_reference():
             assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
 
 
+def test_unroll_draws_each_block_once(monkeypatch):
+    from stiffnet.sde import PathBundle
+
+    draws = []
+    increments = PathBundle.increments
+
+    def counted(self, n):
+        draws.append(n)
+        return increments(self, n)
+
+    monkeypatch.setattr(PathBundle, "increments", counted)
+    rec = make_ou(2, decay=0.5, noise=0.3)
+    budget = _budget(4, 8)
+    cost = make_quadratic_cost(np.ones(2), budget.radius, 1e-3)
+    unroll_value_net(rec.mu_net, rec.sigma_col_nets, cost.net, rec.system, budget, 7)
+    assert draws == [0, 1, 2, 3]
+
+
 def test_unroll_report_and_size_bound():
     d = 2
     rec = make_ou(d, decay=0.5, noise=0.3)
@@ -257,6 +275,25 @@ def test_mc_reference_constant_cost():
     assert val == pytest.approx(3.5, abs=1e-14)
 
 
+def test_mc_reference_batch_equals_single_points():
+    for rec in (
+        make_ou(2, decay=0.5, noise=0.3),
+        make_galerkin_heat(3, diffusivity=0.5, drift_scale=0.4, noise_scale=0.2),
+        make_ou(5, decay=0.5, noise=0.5, sigma_kind="diag"),
+    ):
+        d = rec.d
+        cost = make_quadratic_cost(np.ones(d), 4, 1e-4)
+        coeffs = coefficients_from_nets(rec.mu_net, rec.sigma_col_nets)
+        xs = np.random.default_rng(7).uniform(0, 1, size=(9, d))
+        for paths in (1, 8):
+            budget = _budget(4, paths)
+            batch = mc_reference(rec.system, coeffs, cost, budget, 11, xs)
+            singles = [mc_reference(rec.system, coeffs, cost, budget, 11, x) for x in xs]
+            assert batch.shape == (9,)
+            assert isinstance(singles[0], float)
+            assert np.array_equal(batch, singles)
+
+
 def test_mc_reference_variance_shrinks_with_paths():
     d = 2
     rec = make_ou(d, decay=0.5, noise=0.4)
@@ -280,8 +317,20 @@ def test_mc_reference_variance_shrinks_with_paths():
 def test_l2_error_zero_for_matching_reference():
     net = Network([Layer(np.array([[1.0, 1.0]]), np.zeros(1))])
     m = uniform_cube_measure(0.5)
-    est, se = l2_error(net, lambda x: x[0] + x[1], m, 2, 500, seed=3)
+    est, se = l2_error(net, lambda x: x[..., 0] + x[..., 1], m, 2, 500, seed=3)
     assert est <= 1e-14
+
+
+def test_l2_error_calls_reference_once_on_the_sample():
+    net = Network([Layer(np.array([[2.0, -1.0]]), np.zeros(1))])
+    calls = []
+
+    def reference(xs):
+        calls.append(xs.shape)
+        return xs[..., 0]
+
+    l2_error(net, reference, uniform_cube_measure(0.5), 2, 64, seed=3)
+    assert calls == [(64, 2)]
 
 
 def test_l2_error_constant_offset():
@@ -328,3 +377,29 @@ def test_calibrated_budget_reaches_target_on_d2():
         seed=seed ^ 0xCA11,
     )
     assert est <= eps
+
+
+def test_calibrate_cplan_makes_one_reference_call_per_candidate(monkeypatch):
+    import stiffnet.synthesis as synthesis
+
+    eta, kappa, tau = 0.5, 2.0, 2.25
+    rec = make_ou(2, decay=0.5, noise=0.1, eta=eta)
+    exact_value = rec.exact_value
+    unroll = synthesis.unroll_value_net
+    calls, unrolls = [], []
+
+    def counted_exact(betaw, xs, horizon):
+        calls.append(np.shape(xs))
+        return exact_value(betaw, xs, horizon)
+
+    def counted_unroll(*args, **kwargs):
+        unrolls.append(1)
+        return unroll(*args, **kwargs)
+
+    rec.exact_value = counted_exact
+    monkeypatch.setattr(synthesis, "unroll_value_net", counted_unroll)
+    calibrate_cplan(
+        0.25, lambda d: rec, lambda d, b: plan_cost(d, b, kappa), eta, kappa, tau, 1.0, 21
+    )
+    assert unrolls
+    assert calls == [(256, 2)] * len(unrolls)
