@@ -61,6 +61,31 @@ def _require_same_arch(nets, what):
             )
 
 
+def _stacked(layers):
+    """One shared input: the layers' rows stacked."""
+    return Layer(
+        np.vstack([l.weight for l in layers]), np.concatenate([l.bias for l in layers])
+    )
+
+
+def _side_by_side(layers):
+    """Block-diagonal: each layer acts on its own block of the input."""
+    return Layer(
+        block_diag(*[l.weight for l in layers]), np.concatenate([l.bias for l in layers])
+    )
+
+
+def _summed(coeffs, layers):
+    """One output: sum_m coeffs[m] * layers[m] applied to its input block.
+
+    The bias is summed left to right, starting from 0.
+    """
+    return Layer(
+        np.hstack([c * l.weight for c, l in zip(coeffs, layers)]),
+        sum(c * l.bias for c, l in zip(coeffs, layers)),
+    )
+
+
 def identity_net(d, L):
     """Network of depth L realizing the identity on R^d.
 
@@ -138,43 +163,17 @@ def combine(coeffs, nets):
         w = sum(c * n.layers[0].weight for c, n in zip(coeffs, nets))
         b = sum(c * n.layers[0].bias for c, n in zip(coeffs, nets))
         return Network([Layer(w, b)])
-    first = Layer(
-        np.vstack([n.layers[0].weight for n in nets]),
-        np.concatenate([n.layers[0].bias for n in nets]),
-    )
-    layers = [first]
-    for l in range(1, depth - 1):
-        layers.append(
-            Layer(
-                block_diag(*[n.layers[l].weight for n in nets]),
-                np.concatenate([n.layers[l].bias for n in nets]),
-            )
-        )
-    last = Layer(
-        np.hstack([c * n.layers[-1].weight for c, n in zip(coeffs, nets)]),
-        sum(c * n.layers[-1].bias for c, n in zip(coeffs, nets)),
-    )
-    layers.append(last)
+    layers = [_stacked([n.layers[0] for n in nets])]
+    layers += [_side_by_side([n.layers[l] for n in nets]) for l in range(1, depth - 1)]
+    layers.append(_summed(coeffs, [n.layers[-1] for n in nets]))
     return Network(layers)
 
 
 def parallel_shared(net_a, net_b):
     """Network realizing x -> (net_a(x), net_b(x)); size <= 2(C_a + C_b)."""
     _require_same_arch([net_a, net_b], "parallel_shared")
-    layers = [
-        Layer(
-            np.vstack([net_a.layers[0].weight, net_b.layers[0].weight]),
-            np.concatenate([net_a.layers[0].bias, net_b.layers[0].bias]),
-        )
-    ]
-    for l in range(1, net_a.depth):
-        layers.append(
-            Layer(
-                block_diag(net_a.layers[l].weight, net_b.layers[l].weight),
-                np.concatenate([net_a.layers[l].bias, net_b.layers[l].bias]),
-            )
-        )
-    return Network(layers)
+    pairs = list(zip(net_a.layers, net_b.layers))
+    return Network([_stacked(pairs[0])] + [_side_by_side(p) for p in pairs[1:]])
 
 
 def _split_branch_first(branch, d):
@@ -228,26 +227,23 @@ def add_compose(base, branches, u):
             shift = shift + wu @ u + br.layers[0].bias
         return Network(head + [Layer(gain @ w_last, gain @ b_last + shift)])
 
-    split = np.vstack([np.eye(d), -np.eye(d)])
-    seam_w = [split @ w_last]
-    seam_b = [split @ b_last]
+    eye = np.eye(d)
+    split = np.vstack([eye, -eye])
+    seam = [Layer(split @ w_last, split @ b_last)]
     for br in branches:
         wx, wu = _split_branch_first(br, d)
-        seam_w.append(wx @ w_last)
-        seam_b.append(wx @ b_last + wu @ u + br.layers[0].bias)
-    layers = head + [Layer(np.vstack(seam_w), np.concatenate(seam_b))]
+        seam.append(Layer(wx @ w_last, wx @ b_last + wu @ u + br.layers[0].bias))
+    layers = head + [_stacked(seam)]
 
-    carry = np.block([[np.eye(d), -np.eye(d)], [-np.eye(d), np.eye(d)]])
-    for j in range(1, depth_b - 1):
-        blocks = [carry] + [br.layers[j].weight for br in branches]
-        biases = [np.zeros(2 * d)] + [br.layers[j].bias for br in branches]
-        layers.append(Layer(block_diag(*blocks), np.concatenate(biases)))
+    if depth_b > 2:
+        carry = Layer(np.block([[eye, -eye], [-eye, eye]]), np.zeros(2 * d))
+        for j in range(1, depth_b - 1):
+            layers.append(_side_by_side([carry] + [br.layers[j] for br in branches]))
 
-    out_w = [np.hstack([np.eye(d), -np.eye(d)])] + [
-        br.layers[-1].weight for br in branches
-    ]
-    out_b = sum(br.layers[-1].bias for br in branches)
-    layers.append(Layer(np.hstack(out_w), out_b))
+    # the carried base value re-enters the sum with a zero bias
+    out = [Layer(np.hstack([eye, -eye]), np.zeros(d))]
+    out += [br.layers[-1] for br in branches]
+    layers.append(_summed([1.0] * len(out), out))
     return Network(layers)
 
 
@@ -395,21 +391,11 @@ def weighted_square_net(beta, D, eps):
         per = np.where(ax <= D, x * x, D * ax)
         return per @ beta
 
-    scale = np.array([[1.0 / D], [-1.0 / D]])
-    abs_layer = Layer(block_diag(*[scale] * d), np.zeros(2 * d))
-
-    w1 = unit.layers[0].weight  # (6,1)
-    pair = np.hstack([w1, w1])  # feed relu(x)+relu(-x) = |x|
-    enter = Layer(
-        block_diag(*[pair] * d), np.tile(unit.layers[0].bias, d)
-    )
-    layers = [abs_layer, enter]
-    for mid in unit.layers[1:-1]:
-        layers.append(Layer(block_diag(*[mid.weight] * d), np.tile(mid.bias, d)))
-    w_out, b_out = unit.layers[-1].weight, unit.layers[-1].bias
-    final = Layer(
-        np.hstack([beta[m] * D * D * w_out for m in range(d)]),
-        sum(beta[m] * D * D * b_out for m in range(d)),
-    )
-    layers.append(final)
+    abs_part = Layer(np.array([[1.0 / D], [-1.0 / D]]), np.zeros(2))
+    first = unit.layers[0]
+    # feed relu(x) + relu(-x) = |x| into the unit net's first layer
+    enter = Layer(np.hstack([first.weight, first.weight]), first.bias)
+    layers = [_side_by_side([abs_part] * d), _side_by_side([enter] * d)]
+    layers += [_side_by_side([mid] * d) for mid in unit.layers[1:-1]]
+    layers.append(_summed([b * D * D for b in beta], [unit.layers[-1]] * d))
     return target, Network(layers)

@@ -4,13 +4,15 @@ One study per invocation: a JSON config with a top-level "study"
 discriminator selects the runner; artifacts are CSV files (17 significant
 digits, so a re-run with the same seed is byte-identical apart from the
 wall_ms column) plus a manifest echoing the config.  `verify` re-runs a
-study from its config and byte-compares the deterministic CSV columns
-against the previously written artifacts.
+study from its config and compares it with the previously written run:
+every manifest key except wall_ms, the deterministic CSV columns, and
+every other artifact (network.txt) byte for byte.
 
 Exit codes: 0 pass, 1 assertion/verification failure, 2 config error.
 """
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -177,6 +179,23 @@ def _is_accuracy(v):
     return _is_number(v) and 0.0 < v <= 1.0
 
 
+def _is_positive(v):
+    return _is_number(v) and 0.0 < v < math.inf
+
+
+def _is_action_list(v):
+    """A non-empty list of finite numbers, or of equally long such lists."""
+    if not isinstance(v, list) or not v:
+        return False
+    rows = v if isinstance(v[0], list) else [v]
+    return all(
+        isinstance(r, list)
+        and len(r) == len(rows[0]) > 0
+        and all(_is_number(x) and math.isfinite(x) for x in r)
+        for r in rows
+    )
+
+
 def _list_of(check):
     return lambda v: isinstance(v, list) and len(v) > 0 and all(map(check, v))
 
@@ -191,7 +210,10 @@ _VALUE_RULES = {
     "eps_fixed": _ACCURACY,
     "d_list": (_list_of(_is_count), "a non-empty list of integers >= 1"),
     "eps_list": (_list_of(_is_accuracy), "a non-empty list of numbers in (0, 1]"),
-    "horizon": (lambda v: _is_number(v) and 0.0 < v < math.inf, "a finite number > 0"),
+    "horizon": (_is_positive, "a finite number > 0"),
+    "cplan": (lambda v: v is None or _is_positive(v), "null or a finite number > 0"),
+    "u1": (_is_action_list, "a non-empty rectangular list of numbers"),
+    "u2": (_is_action_list, "a non-empty rectangular list of numbers"),
     "system": (
         lambda v: isinstance(v, str) and v in RECIPES,
         "one of " + ", ".join(sorted(RECIPES)),
@@ -213,6 +235,28 @@ def _check_values(cfg):
             reference_steps(cfg["n_list"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+    if "params" in cfg:
+        _check_params(cfg)
+
+
+def _check_params(cfg):
+    """params must be keywords the study's recipe factory accepts."""
+    params = cfg["params"]
+    if not isinstance(params, dict):
+        raise ConfigError("params must be a JSON object, got %r" % (params,))
+    if cfg["study"] == "game":
+        # run_game passes the action dimensions itself
+        factory, fixed = make_controlled_relu_drift, ("m1", "m2")
+    else:
+        factory, fixed = RECIPES[cfg["system"]], ()
+    try:
+        inspect.signature(factory).bind(None, **dict.fromkeys(fixed), **params)
+    except TypeError as exc:
+        raise ConfigError("params do not fit %s: %s" % (factory.__name__, exc)) from exc
+    if params.get("sigma_kind", "const") not in ("const", "diag"):
+        raise ConfigError(
+            "params.sigma_kind must be 'const' or 'diag', got %r" % (params["sigma_kind"],)
+        )
 
 
 def resolve_seed(cfg):
@@ -748,6 +792,23 @@ def _csv_deterministic_lines(path):
     return out
 
 
+def _artifact_diffs(name, old_dir, new_dir):
+    """Differences of one artifact: CSVs by deterministic column, the rest by byte."""
+    old_path, new_path = os.path.join(old_dir, name), os.path.join(new_dir, name)
+    if name.endswith(".csv"):
+        old, new = _csv_deterministic_lines(old_path), _csv_deterministic_lines(new_path)
+        diffs = [
+            "%s row %d differs:\n  was: %s\n  now: %s" % (name, i, a, b)
+            for i, (a, b) in enumerate(zip(old, new))
+            if a != b
+        ]
+        if len(old) != len(new):
+            diffs.append("%s row count %d -> %d" % (name, len(old), len(new)))
+        return diffs
+    with open(old_path, "rb") as fa, open(new_path, "rb") as fb:
+        return [] if fa.read() == fb.read() else ["%s differs byte for byte" % name]
+
+
 def run_verify(cfg, out_dir):
     manifest_path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -755,34 +816,29 @@ def run_verify(cfg, out_dir):
         return EXIT_FAIL
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    artifacts = [a for a in manifest["artifacts"] if a.endswith(".csv")]
-    for name in artifacts:
+    for name in manifest["artifacts"]:
         if not os.path.exists(os.path.join(out_dir, name)):
             print("verify: missing artifact %s" % name, file=sys.stderr)
             return EXIT_FAIL
     with tempfile.TemporaryDirectory() as tmp:
         run_study(cfg, tmp)
-        status = EXIT_OK
-        for name in artifacts:
-            old = _csv_deterministic_lines(os.path.join(out_dir, name))
-            new = _csv_deterministic_lines(os.path.join(tmp, name))
-            if old != new:
-                status = EXIT_FAIL
-                for i, (a, b) in enumerate(zip(old, new)):
-                    if a != b:
-                        print(
-                            "verify: %s row %d differs:\n  was: %s\n  now: %s"
-                            % (name, i, a, b),
-                            file=sys.stderr,
-                        )
-                if len(old) != len(new):
-                    print(
-                        "verify: %s row count %d -> %d" % (name, len(old), len(new)),
-                        file=sys.stderr,
-                    )
-    if status == EXIT_OK:
-        print("verify: all deterministic columns identical")
-    return status
+        with open(os.path.join(tmp, "manifest.json")) as fh:
+            fresh = json.load(fh)
+        # every manifest key but the wall clock, then each artifact both runs wrote
+        diffs = [
+            "manifest %s was %r, now %r" % (key, manifest.get(key), fresh.get(key))
+            for key in sorted(set(manifest) | set(fresh))
+            if key != "wall_ms" and manifest.get(key) != fresh.get(key)
+        ]
+        for name in manifest["artifacts"]:
+            if name in fresh["artifacts"]:
+                diffs += _artifact_diffs(name, out_dir, tmp)
+    for line in diffs:
+        print("verify: " + line, file=sys.stderr)
+    if diffs:
+        return EXIT_FAIL
+    print("verify: artifacts and manifest identical apart from wall-clock times")
+    return EXIT_OK
 
 
 def build_parser():

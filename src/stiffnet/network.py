@@ -13,6 +13,7 @@ the library's complexity bounds are stated in.
 """
 
 import io
+import math
 
 import numpy as np
 
@@ -208,6 +209,8 @@ def _hex_row(values):
 
 def _parse_row(line, expected):
     vals = [float.fromhex(tok) for tok in line.split()]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("non-finite value in network text")
     if len(vals) != expected:
         raise ValueError("expected %d values per row, got %d" % (expected, len(vals)))
     return vals

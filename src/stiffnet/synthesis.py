@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import add_compose, combine, compose, identity_net
-from .network import Network, fold_affine, realize
+from .network import fold_affine, realize
 from .sde import (
     EulerConfig,
     ImplicitFactor,
@@ -136,7 +136,11 @@ def plan_budget(eps, d, eta, kappa, tau, horizon, beta=0.0, cplan=1.0):
     q_h = (eta + 4.0) / (3.0 * eta + 4.0)
 
     # inequality 1: d^a1 h^p_h <= budget_sq
-    h_cap = (budget_sq / d**a1) ** (1.0 / p_h)
+    ratio = budget_sq / d**a1
+    try:
+        h_cap = ratio ** (1.0 / p_h)
+    except OverflowError:  # ratio > 1, so no finite horizon makes it bind
+        h_cap = math.inf
     n_ineq = math.ceil(horizon / h_cap) if h_cap < horizon else 1
     n_min = max(n_ineq, math.ceil(step_floor(horizon, beta, eta)), MIN_STEPS)
     steps = _next_pow2(n_min)
@@ -296,11 +300,10 @@ def _as_branch(coeff_net, d, out_scale=None):
     time (and action) columns are moved behind the state block; optionally
     the output is rescaled (used for the h * drift branch).
     """
-    first = coeff_net.layers[0]
-    w = first.weight
-    perm = np.concatenate([w[:, 1 : 1 + d], w[:, :1], w[:, 1 + d :]], axis=1)
-    layers = [type(first)(perm, first.bias)] + list(coeff_net.layers[1:])
-    net = Network(layers)
+    n_in = coeff_net.dim_in
+    # input k of the net reads entry order[k] of (x, t[, u])
+    order = [d] + list(range(d)) + list(range(d + 1, n_in))
+    net = fold_affine(coeff_net, "pre", np.eye(n_in)[order])
     if out_scale is not None:
         net = fold_affine(net, "post", out_scale * np.eye(coeff_net.dim_out))
     return net

@@ -92,14 +92,73 @@ def _diag_sigma(scale, d):
     return sigma
 
 
-def _validated(recipe, trials=1000):
-    report = validate_system(recipe.system, trials=trials)
+def _zero_drift(t, x):
+    return np.zeros_like(np.asarray(x, dtype=np.float64))
+
+
+def _diagonal_recipe(id, d, a_diag, drift, noise, eta, sigma_kind, kappa0, params):
+    """Validated recipe for A = diag(a_diag), mu = drift * relu(x).
+
+    sigma_kind "const" gives the additive noise noise * I, "diag" the
+    multiplicative noise noise * diag(x).  beta = drift + eta drift^2
+    covers the drift's monotone Lipschitz part, plus (1+eta)/2 noise^2 for
+    the multiplicative kind.  A zero drift is realized by a constant net of
+    the noise columns' width; the recipe is linear (exact value oracle)
+    when the drift is zero and the noise constant.
+    """
+    c = float(drift)
+    s = float(noise)
+    beta = c + eta * c * c
+    if sigma_kind == "const":
+        sigma0 = s * np.eye(d)
+        sigma = lambda t, x: sigma0
+        sigma_l0, sigma_l1 = s * np.sqrt(d), 0.0
+        width = d if c != 0.0 else 1  # 1 is the smallest width holding a constant
+        cols = [_constant_net(d, width, sigma0[:, i]) for i in range(d)]
+    elif sigma_kind == "diag":
+        sigma0 = None
+        sigma = _diag_sigma(s, d)
+        beta += 0.5 * (1.0 + eta) * s * s
+        sigma_l0, sigma_l1 = 0.0, s
+        cols = [_diag_column_net(d, i, s) for i in range(d)]
+    else:
+        raise ValueError("sigma_kind must be 'const' or 'diag'")
+    if c == 0.0:
+        mu = _zero_drift
+        mu_net = _constant_net(d, cols[0].dims[1])
+    else:
+        mu = lambda t, x: c * np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+        mu_net = _relu_drift_net(d, c)
+
+    sysm = StiffSystem(
+        d=d,
+        A=np.diag(a_diag),
+        mu=mu,
+        sigma=sigma,
+        beta=beta,
+        eta=eta,
+        mu_l0=0.0,
+        mu_l1=c,
+        sigma_l0=sigma_l0,
+        sigma_l1=sigma_l1,
+        kappa0=kappa0,
+    )
+    report = validate_system(sysm, trials=1000)
     if not report.passed:
         raise ValueError(
-            "recipe %r violates the standing hypotheses: %s"
-            % (recipe.id, report.checks)
+            "recipe %r violates the standing hypotheses: %s" % (id, report.checks)
         )
-    return recipe
+    return SystemRecipe(
+        id=id,
+        d=d,
+        system=sysm,
+        mu_net=mu_net,
+        sigma_col_nets=cols,
+        gamma=0.0,
+        params=params,
+        sigma0=sigma0,
+        linear=sigma_kind == "const" and c == 0.0,
+    )
 
 
 def make_ou(d, decay=0.5, noise=0.1, eta=0.5, sigma_kind="const"):
@@ -111,56 +170,10 @@ def make_ou(d, decay=0.5, noise=0.1, eta=0.5, sigma_kind="const"):
     """
     a = float(decay)
     s = float(noise)
-    A = a * np.eye(d)
-
-    def mu(t, x):
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
-
-    if sigma_kind == "const":
-        sigma0 = s * np.eye(d)
-        sigma = lambda t, x: sigma0
-        beta = 0.0
-        sigma_l0 = s * np.sqrt(d)
-        sigma_l1 = 0.0
-        width = 1  # smallest architecture that holds the constant columns
-        cols = [_constant_net(d, width, sigma0[:, i]) for i in range(d)]
-        linear = True
-    elif sigma_kind == "diag":
-        sigma0 = None
-        sigma = _diag_sigma(s, d)
-        beta = 0.5 * (1.0 + eta) * s * s
-        sigma_l0 = 0.0
-        sigma_l1 = s
-        cols = [_diag_column_net(d, i, s) for i in range(d)]
-        linear = False
-    else:
-        raise ValueError("sigma_kind must be 'const' or 'diag'")
-
-    sysm = StiffSystem(
-        d=d,
-        A=A,
-        mu=mu,
-        sigma=sigma,
-        beta=beta,
-        eta=eta,
-        mu_l0=0.0,
-        mu_l1=0.0,
-        sigma_l0=sigma_l0,
-        sigma_l1=sigma_l1,
-        kappa0=max(1.0, a),
+    params = {"decay": a, "noise": s, "eta": eta, "sigma_kind": sigma_kind}
+    return _diagonal_recipe(
+        "ou", d, np.full(d, a), 0.0, s, eta, sigma_kind, max(1.0, a), params
     )
-    recipe = SystemRecipe(
-        id="ou",
-        d=d,
-        system=sysm,
-        mu_net=_constant_net(d, cols[0].dims[1]),
-        sigma_col_nets=cols,
-        gamma=0.0,
-        params={"decay": a, "noise": s, "eta": eta, "sigma_kind": sigma_kind},
-        sigma0=sigma0,
-        linear=linear,
-    )
-    return _validated(recipe)
 
 
 def make_galerkin_heat(
@@ -172,8 +185,6 @@ def make_galerkin_heat(
     d^2; the drift is the elementwise drift_scale * relu(x) (exactly a
     two-layer ReLU network).  sigma_kind "const" gives a constant diagonal
     noise matrix, "diag" the multiplicative noise_scale * diag(x).
-    beta covers the drift's Lipschitz contribution (plus the noise's for
-    the multiplicative kind).
     """
     a = float(diffusivity)
     c = float(drift_scale)
@@ -181,109 +192,38 @@ def make_galerkin_heat(
     if a < 0.0 or s < 0.0:
         raise ValueError("diffusivity and noise scale must be nonnegative")
     k = np.arange(1, d + 1, dtype=np.float64)
-    A = np.diag(a * np.pi**2 * k**2)
-
-    def mu(t, x):
-        return c * np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-    beta = c + eta * c * c
-    if sigma_kind == "const":
-        sigma0 = s * np.eye(d)
-        sigma = lambda t, x: sigma0
-        sigma_l0 = s * np.sqrt(d)
-        sigma_l1 = 0.0
-        width = d if c != 0.0 else 1
-        cols = [_constant_net(d, width, sigma0[:, i]) for i in range(d)]
-        linear = c == 0.0
-    elif sigma_kind == "diag":
-        sigma0 = None
-        sigma = _diag_sigma(s, d)
-        beta += 0.5 * (1.0 + eta) * s * s
-        sigma_l0 = 0.0
-        sigma_l1 = s
-        cols = [_diag_column_net(d, i, s) for i in range(d)]
-        linear = False
-    else:
-        raise ValueError("sigma_kind must be 'const' or 'diag'")
-
-    sysm = StiffSystem(
-        d=d,
-        A=A,
-        mu=mu,
-        sigma=sigma,
-        beta=beta,
-        eta=eta,
-        mu_l0=0.0,
-        mu_l1=c,
-        sigma_l0=sigma_l0,
-        sigma_l1=sigma_l1,
-        kappa0=max(2.0, a * np.pi**2),
+    params = {
+        "diffusivity": a,
+        "drift_scale": c,
+        "noise_scale": s,
+        "eta": eta,
+        "sigma_kind": sigma_kind,
+    }
+    return _diagonal_recipe(
+        "galerkin_heat",
+        d,
+        a * np.pi**2 * k**2,
+        c,
+        s,
+        eta,
+        sigma_kind,
+        max(2.0, a * np.pi**2),
+        params,
     )
-    mu_net = _relu_drift_net(d, c) if c != 0.0 else _constant_net(d, cols[0].dims[1])
-    recipe = SystemRecipe(
-        id="galerkin_heat",
-        d=d,
-        system=sysm,
-        mu_net=mu_net,
-        sigma_col_nets=cols,
-        gamma=0.0,
-        params={
-            "diffusivity": a,
-            "drift_scale": c,
-            "noise_scale": s,
-            "eta": eta,
-            "sigma_kind": sigma_kind,
-        },
-        sigma0=sigma0,
-        linear=linear,
-    )
-    return _validated(recipe)
 
 
 def make_relu_drift_system(d, l_mu=1.0, eta=0.5, noise_scale=0.0):
-    """Nonstiff system with elementwise l_mu * relu(x) drift.
+    """Nonstiff system (A = 0) with elementwise l_mu * relu(x) drift.
 
     The drift is l_mu-Lipschitz and monotone, so beta = l_mu + eta l_mu^2
     suffices; the drift network reproduces it exactly (gamma = 0).
     """
     l_mu = float(l_mu)
     s = float(noise_scale)
-    A = np.zeros((d, d))
-    sigma0 = s * np.eye(d)
-
-    def mu(t, x):
-        return l_mu * np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-    def sigma(t, x):
-        return sigma0
-
-    sysm = StiffSystem(
-        d=d,
-        A=A,
-        mu=mu,
-        sigma=sigma,
-        beta=l_mu + eta * l_mu * l_mu,
-        eta=eta,
-        mu_l0=0.0,
-        mu_l1=l_mu,
-        sigma_l0=s * np.sqrt(d),
-        sigma_l1=0.0,
-        kappa0=1.0,
+    params = {"l_mu": l_mu, "eta": eta, "noise_scale": s}
+    return _diagonal_recipe(
+        "relu_drift", d, np.zeros(d), l_mu, s, eta, "const", 1.0, params
     )
-    width = d if l_mu != 0.0 else 1
-    mu_net = _relu_drift_net(d, l_mu) if l_mu != 0.0 else _constant_net(d, width)
-    recipe = SystemRecipe(
-        id="relu_drift",
-        d=d,
-        system=sysm,
-        mu_net=mu_net,
-        sigma_col_nets=[_constant_net(d, width, sigma0[:, i]) for i in range(d)],
-        gamma=0.0,
-        params={"l_mu": l_mu, "eta": eta, "noise_scale": s},
-        sigma0=sigma0,
-        linear=(l_mu == 0.0),
-    )
-    return _validated(recipe)
 
 
 def make_controlled_relu_drift(
@@ -292,9 +232,10 @@ def make_controlled_relu_drift(
     """Controlled drift l_mu * relu(x) + B1 u1 + B2 u2, constant noise.
 
     The action enters additively, so the x-Lipschitz structure (and the
-    monotonicity constants) are uniform over the action sets.  Coefficient
-    networks take (t, x, u1, u2) with the action carried through a
-    (relu(u), relu(-u)) channel pair.
+    monotonicity constants) are uniform over the action sets: the recipe's
+    system is the uncontrolled ReLU-drift envelope, which is what gets
+    validated.  Coefficient networks take (t, x, u1, u2) with the action
+    carried through a (relu(u), relu(-u)) channel pair.
     """
     l_mu = float(l_mu)
     s = float(noise_scale)
@@ -306,33 +247,16 @@ def make_controlled_relu_drift(
     b2 = np.asarray(b2, dtype=np.float64).reshape(d, -1)
     m1, m2 = b1.shape[1], b2.shape[1]
     m_total = m1 + m2
-    A = np.zeros((d, d))
-    sigma0 = s * np.eye(d)
     b_all = np.hstack([b1, b2])
+    params = {"l_mu": l_mu, "eta": eta, "noise_scale": s, "m1": m1, "m2": m2}
+    recipe = _diagonal_recipe(
+        "controlled_relu_drift", d, np.zeros(d), l_mu, s, eta, "const", 1.0, params
+    )
 
     def mu(t, x, u1, u2):
         x = np.asarray(x, dtype=np.float64)
         u = np.concatenate([np.atleast_1d(u1), np.atleast_1d(u2)])
         return l_mu * np.maximum(x, 0.0) + b_all @ u
-
-    # uncontrolled envelope used only for hypothesis validation: the action
-    # shift is common to both arguments of the monotonicity inequality
-    def mu_frozen(t, x):
-        return l_mu * np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-    sysm = StiffSystem(
-        d=d,
-        A=A,
-        mu=mu_frozen,
-        sigma=lambda t, x: sigma0,
-        beta=l_mu + eta * l_mu * l_mu,
-        eta=eta,
-        mu_l0=0.0,
-        mu_l1=l_mu,
-        sigma_l0=s * np.sqrt(d),
-        sigma_l1=0.0,
-        kappa0=1.0,
-    )
 
     width = d + 2 * m_total
     w1 = np.zeros((width, 1 + d + m_total))
@@ -340,28 +264,14 @@ def make_controlled_relu_drift(
     w1[d : d + m_total, 1 + d :] = np.eye(m_total)
     w1[d + m_total :, 1 + d :] = -np.eye(m_total)
     w2 = np.hstack([l_mu * np.eye(d), b_all, -b_all])
-    mu_net = Network([Layer(w1, np.zeros(width)), Layer(w2, np.zeros(d))])
-    col_nets = [_constant_net(d, width, sigma0[:, i], m_total) for i in range(d)]
-    recipe = SystemRecipe(
-        id="controlled_relu_drift",
-        d=d,
-        system=sysm,
-        mu_net=mu_net,
-        sigma_col_nets=col_nets,
-        gamma=0.0,
-        params={
-            "l_mu": l_mu,
-            "eta": eta,
-            "noise_scale": s,
-            "m1": m1,
-            "m2": m2,
-        },
-        sigma0=sigma0,
-        linear=False,
-        control_dims=(m1, m2),
-    )
+    recipe.mu_net = Network([Layer(w1, np.zeros(width)), Layer(w2, np.zeros(d))])
+    recipe.sigma_col_nets = [
+        _constant_net(d, width, recipe.sigma0[:, i], m_total) for i in range(d)
+    ]
+    recipe.linear = False
+    recipe.control_dims = (m1, m2)
     recipe.controlled_mu = mu
-    return _validated(recipe)
+    return recipe
 
 
 @dataclass

@@ -99,6 +99,14 @@ def test_bad_config_exits_2(tmp_path):
         {"study": "scaling", "d_list": [2, True]},
         {"study": "scaling", "eps_list": []},
         {"study": "scaling", "eps_fixed": 0.0},
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8],
+         "params": {"bogus": 1}},
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8],
+         "params": {"sigma_kind": "full"}},
+        {"study": "synth", "system": "ou", "d": 2, "eps": 0.5, "cplan": -1.0},
+        {"study": "synth", "system": "ou", "d": 2, "eps": 0.5, "cplan": "big"},
+        {"study": "game", "d": 2, "u1": [[0.5], [-0.5, 1.0]]},
+        {"study": "game", "d": 2, "params": {"m1": 2}},
     ],
 )
 def test_values_a_study_cannot_run_on_exit_2(tmp_path, cfg):
@@ -155,6 +163,13 @@ def test_synth_n_samples_sets_the_l2_sample_count(tmp_path):
     assert errors[0] != errors[1]
 
 
+def test_synth_galerkin_heat_plans_without_overflow(tmp_path):
+    cfg = {"study": "synth", "system": "galerkin_heat", "d": 3, "eps": 0.5,
+           "params": {"noise_scale": 0.1}}
+    path = _write_config(tmp_path, cfg)
+    assert main(["synth", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
 def test_game_study_and_manifest_round_trip(tmp_path):
     path = _write_config(tmp_path, GAME_CFG)
     out = os.path.join(tmp_path, "out")
@@ -177,6 +192,35 @@ def test_verify_reproduces_and_detects_change(tmp_path):
     # a different seed must be flagged
     other = _write_config(tmp_path, dict(GAME_CFG, seed=6), name="other.json")
     assert main(["verify", "--config", other, "--out", out]) == EXIT_FAIL
+
+
+def _flip_network_byte(out):
+    path = os.path.join(out, "network.txt")
+    with open(path, "rb") as fh:
+        text = bytearray(fh.read())
+    pos = text.index(b"0x1.") + 2  # one digit of a weight: still parses
+    text[pos] = ord("0")
+    with open(path, "wb") as fh:
+        fh.write(text)
+
+
+def _edit_manifest_cplan(out):
+    manifest = _read_manifest(out)
+    manifest["cplan"] *= 2.0
+    with open(os.path.join(out, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh)
+
+
+@pytest.mark.parametrize("edit", [_flip_network_byte, _edit_manifest_cplan])
+def test_verify_detects_an_edited_synth_artifact(tmp_path, edit):
+    path = _write_config(
+        tmp_path, {"study": "synth", "system": "ou", "d": 2, "eps": 0.5, "seed": 3}
+    )
+    out = os.path.join(tmp_path, "out")
+    assert main(["synth", "--config", path, "--out", out]) == EXIT_OK
+    assert main(["verify", "--config", path, "--out", out]) == EXIT_OK
+    edit(out)
+    assert main(["verify", "--config", path, "--out", out]) == EXIT_FAIL
 
 
 def test_verify_missing_artifact(tmp_path):

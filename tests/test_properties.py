@@ -1,11 +1,27 @@
-"""Property tests: serialization round-trips, hostile text, affine folding."""
+"""Property tests: serialization round-trips, hostile text, affine folding,
+and every calculus construction against its pointwise formula."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stiffnet import Layer, Network, fold_affine, network_from_text, network_to_text, realize
+from stiffnet import (
+    Layer,
+    Network,
+    add_compose,
+    combine,
+    fold_affine,
+    max_tree,
+    min_tree,
+    network_from_text,
+    network_to_text,
+    parallel_shared,
+    realize,
+    square_unit_net,
+    weighted_square_net,
+)
 
 # fixed derandomized settings keep the suite deterministic run to run
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -16,9 +32,7 @@ SMALL_FLOAT = st.floats(min_value=-2.0, max_value=2.0)
 TEXT_CHARS = list("0123456789abcdefxp+-. \nZ")
 
 
-@st.composite
-def networks(draw, elements=ANY_FLOAT, max_depth=4, max_width=5):
-    dims = draw(st.lists(st.integers(1, max_width), min_size=2, max_size=max_depth + 1))
+def _net_of(draw, dims, elements=SMALL_FLOAT):
     layers = [
         Layer(
             draw(arrays(np.float64, (n_out, n_in), elements=elements)),
@@ -27,6 +41,15 @@ def networks(draw, elements=ANY_FLOAT, max_depth=4, max_width=5):
         for n_in, n_out in zip(dims[:-1], dims[1:])
     ]
     return Network(layers)
+
+
+def _dims(draw, max_depth=4, max_width=5):
+    return draw(st.lists(st.integers(1, max_width), min_size=2, max_size=max_depth + 1))
+
+
+@st.composite
+def networks(draw, elements=ANY_FLOAT, max_depth=4, max_width=5):
+    return _net_of(draw, _dims(draw, max_depth=max_depth, max_width=max_width), elements)
 
 
 def _parses_or_value_error(text):
@@ -77,6 +100,21 @@ def test_text_mutated_raises_only_value_error(net, data):
 
 
 @PROPERTY
+@given(networks(), st.data())
+def test_text_with_a_non_finite_value_raises_value_error(net, data):
+    lines = network_to_text(net).splitlines()
+    rows = [i for i, ln in enumerate(lines) if ln.startswith(("0x", "-0x"))]
+    i = data.draw(st.sampled_from(rows))
+    values = lines[i].split()
+    values[data.draw(st.integers(0, len(values) - 1))] = data.draw(
+        st.sampled_from(["inf", "-inf", "nan"])
+    )
+    lines[i] = " ".join(values)
+    with pytest.raises(ValueError):
+        network_from_text("\n".join(lines))
+
+
+@PROPERTY
 @given(networks(elements=SMALL_FLOAT), st.data())
 def test_fold_affine_commutes_with_realize(net, data):
     d_in, d_out = net.dim_in, net.dim_out
@@ -92,3 +130,91 @@ def test_fold_affine_commutes_with_realize(net, data):
     want_post = realize(net, xs) @ post_mat.T + post_vec
     for got, want in ((pre, want_pre), (post, want_post)):
         assert np.max(np.abs(got - want)) <= 1e-9 * (1.0 + np.max(np.abs(want)))
+
+
+# ---------------------------------------------------------------- calculus
+
+
+def _inputs(data, d, scale=2.0):
+    elements = st.floats(min_value=-scale, max_value=scale)
+    return data.draw(arrays(np.float64, (8, d), elements=elements))
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-9 * (1.0 + np.max(np.abs(want)))
+
+
+@PROPERTY
+@given(st.data())
+def test_combine_is_the_weighted_sum(data):
+    dims = _dims(data.draw)
+    nets = [_net_of(data.draw, dims) for _ in range(data.draw(st.integers(1, 4)))]
+    coeffs = data.draw(st.lists(SMALL_FLOAT, min_size=len(nets), max_size=len(nets)))
+    xs = _inputs(data, dims[0])
+    want = sum(c * realize(n, xs) for c, n in zip(coeffs, nets))
+    _assert_close(realize(combine(coeffs, nets), xs), want)
+
+
+@PROPERTY
+@given(st.data())
+def test_parallel_shared_stacks_the_outputs(data):
+    dims = _dims(data.draw)
+    a, b = _net_of(data.draw, dims), _net_of(data.draw, dims)
+    xs = _inputs(data, dims[0])
+    want = np.concatenate([realize(a, xs), realize(b, xs)], axis=-1)
+    _assert_close(realize(parallel_shared(a, b), xs), want)
+
+
+@pytest.mark.parametrize("branch_depth", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_add_compose_adds_the_branches(branch_depth, data):
+    d = data.draw(st.integers(1, 3))
+    d_aux = data.draw(st.integers(1, 2))
+    base_hidden = data.draw(st.lists(st.integers(1, 5), max_size=2))
+    base = _net_of(data.draw, [d] + base_hidden + [d])
+    hidden = [data.draw(st.integers(1, 4)) for _ in range(branch_depth - 1)]
+    n_branches = data.draw(st.integers(1, 3))
+    branches = [_net_of(data.draw, [d + d_aux] + hidden + [d]) for _ in range(n_branches)]
+    u = data.draw(arrays(np.float64, (d_aux,), elements=SMALL_FLOAT))
+    xs = _inputs(data, d)
+    mid = realize(base, xs)
+    zu = np.concatenate([mid, np.broadcast_to(u, mid.shape[:-1] + (d_aux,))], axis=-1)
+    want = mid + sum(realize(br, zu) for br in branches)
+    net = add_compose(base, branches, u)
+    assert net.depth == base.depth + branch_depth - 1
+    _assert_close(realize(net, xs), want)
+
+
+@PROPERTY
+@given(st.data())
+def test_max_and_min_trees_are_the_pointwise_extremes(data):
+    dims = _dims(data.draw, max_depth=3)[:-1] + [1]
+    n_leaves = data.draw(st.sampled_from([1, 2, 4]))
+    leaves = [_net_of(data.draw, dims) for _ in range(n_leaves)]
+    xs = _inputs(data, dims[0])
+    vals = np.stack([realize(n, xs)[:, 0] for n in leaves])
+    _assert_close(realize(max_tree(leaves), xs)[:, 0], vals.max(axis=0))
+    _assert_close(realize(min_tree(leaves), xs)[:, 0], vals.min(axis=0))
+
+
+@PROPERTY
+@given(
+    st.lists(SMALL_FLOAT, min_size=1, max_size=3),
+    st.floats(min_value=0.5, max_value=3.0),
+    st.sampled_from([1e-1, 1e-2, 1e-3]),
+    st.data(),
+)
+def test_weighted_square_net_is_the_scaled_unit_square(beta, radius, eps, data):
+    beta = np.array(beta)
+    d = len(beta)
+    target, net = weighted_square_net(beta, radius, eps)
+    xs = _inputs(data, d, scale=3.0 * radius)
+    # sum_m beta_m D^2 q(|x_m| / D), with q the unit square net
+    unit = realize(square_unit_net(eps), np.abs(xs)[..., None] / radius)[..., 0]
+    want = (radius * radius * unit) @ beta
+    got = realize(net, xs)[:, 0]
+    _assert_close(got, want)
+    gap = np.max(np.abs(got - target(xs)))
+    assert gap <= np.max(np.abs(beta)) * d * radius**2 * eps * (1 + 1e-9) + 1e-12

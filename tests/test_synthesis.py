@@ -80,6 +80,15 @@ def test_plan_budget_rejects_bad_inputs():
         plan_budget(1e-3, 16, eta=0.5, kappa=2.0, tau=2.25, horizon=1.0, cplan=1e-6)
 
 
+def test_plan_budget_slack_first_inequality_does_not_overflow():
+    # galerkin_heat's kappa = pi^2 puts h_cap = (budget / d^a1)^5.5 beyond
+    # any float; inequality 1 then cannot bind and N comes from the floors
+    kw = dict(eta=0.5, kappa=np.pi**2, tau=2.25, horizon=1.0)
+    huge = plan_budget(0.5, 3, cplan=1e100, **kw)
+    slack = plan_budget(0.5, 3, cplan=1e60, **kw)
+    assert (huge.steps, huge.radius) == (slack.steps, slack.radius)
+
+
 def test_cplan_floor_keeps_step_floor_binding():
     eta, kappa, tau = 0.5, 2.0, 2.25
     c = cplan_floor(0.25, 16, eta, kappa, tau, 1.0)
