@@ -520,7 +520,9 @@ def run_convergence(cfg, out_dir, seed):
         study["rows"],
     )
     extra = {"strong_slope": study["strong_slope"], "weak_slope": study["weak_slope"]}
-    ok = 0.4 <= study["strong_slope"] <= 0.6
+    # strong order 1 under additive noise, 1/2 under multiplicative noise
+    lo, hi = (0.9, 1.1) if recipe.sigma0 is not None else (0.4, 0.6)
+    ok = lo <= study["strong_slope"] <= hi
     return ["convergence.csv"], extra, ok
 
 
@@ -542,6 +544,11 @@ def run_synth(cfg, out_dir, seed):
     eta, kappa, tau = _plan_constants(recipe)
     cplan = cfg["cplan"]
     if cplan is None:
+        if not recipe.linear:
+            raise ConfigError(
+                "system %r has no closed-form value to calibrate against; "
+                "set cplan" % cfg["system"]
+            )
         cplan = calibrate_cplan(
             eps,
             lambda dd: make_system(cfg["system"], dd, **cfg["params"]),
@@ -684,8 +691,9 @@ def run_scaling(cfg, out_dir, seed):
     eps_list = [float(v) for v in cfg["eps_list"]]
     d_fixed = int(cfg["d_fixed"])
     eps_fixed = float(cfg["eps_fixed"])
-    probe = make_system(cfg["system"], 2, **cfg["params"])
-    eta, kappa, tau = _plan_constants(probe)
+    # one recipe, so one validation, per distinct dimension; d=2 is the probe
+    recipes = {2: make_system(cfg["system"], 2, **cfg["params"])}
+    eta, kappa, tau = _plan_constants(recipes[2])
     cplan = cfg["cplan"]
     if cplan is None:
         d_max = max(max(d_list), d_fixed)
@@ -696,14 +704,16 @@ def run_scaling(cfg, out_dir, seed):
             kappa,
             tau,
             horizon,
-            beta=probe.system.beta,
+            beta=recipes[2].system.beta,
         )
     cplan = float(cplan)
 
     rows = []
 
     def one(dd, eps, kind):
-        recipe = make_system(cfg["system"], dd, **cfg["params"])
+        if dd not in recipes:
+            recipes[dd] = make_system(cfg["system"], dd, **cfg["params"])
+        recipe = recipes[dd]
         budget = plan_budget(
             eps, dd, eta, kappa, tau, horizon, beta=recipe.system.beta, cplan=cplan
         )
@@ -765,11 +775,18 @@ _RUNNERS = {
 
 
 def run_study(cfg, out_dir):
+    """Run one study into out_dir; a ConfigError leaves no directory it made."""
     study = cfg["study"]
     seed = resolve_seed(cfg)
+    made = not os.path.exists(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    artifacts, extra, ok = _RUNNERS[study](cfg, out_dir, seed)
+    try:
+        artifacts, extra, ok = _RUNNERS[study](cfg, out_dir, seed)
+    except ConfigError:
+        if made:
+            os.rmdir(out_dir)
+        raise
     wall_ms = (time.perf_counter() - t0) * 1e3
     write_manifest(
         out_dir, study, cfg, seed, artifacts, extra, wall_ms, "ok" if ok else "failed"
@@ -867,13 +884,12 @@ def main(argv=None):
     try:
         expected = None if args.command == "verify" else args.command
         cfg = load_config(args.config, expected)
+        if args.command == "verify":
+            return run_verify(cfg, args.out)
+        _, ok = run_study(cfg, args.out)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    if args.command == "verify":
-        return run_verify(cfg, args.out)
-    try:
-        _, ok = run_study(cfg, args.out)
     except Exception as exc:  # runtime failure, not a config problem
         print("study failed: %s" % exc, file=sys.stderr)
         return EXIT_FAIL

@@ -160,10 +160,10 @@ def _controlled_coeffs(recipe, grid, budget, strat1, strat2):
     def mu(t, x):
         return steps[int(round(t / h))].mu(t, x)
 
-    def sigma(t, x):
-        return steps[int(round(t / h))].sigma(t, x)
+    def noise(t, x, db):
+        return steps[int(round(t / h))].noise(t, x, db)
 
-    return PerturbedCoefficients(mu=mu, sigma=sigma, gamma=recipe.gamma)
+    return PerturbedCoefficients(mu=mu, noise=noise, gamma=recipe.gamma)
 
 
 def brute_force_game_value(recipe, grid, cost, budget, seed, x):

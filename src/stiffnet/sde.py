@@ -27,7 +27,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm, lu_factor, lu_solve
-from scipy.integrate import quad_vec
 
 __all__ = [
     "StiffSystem",
@@ -59,15 +58,16 @@ __all__ = [
 class StiffSystem:
     """SDE data plus the constants the error analysis runs on.
 
-    mu(t, x) and sigma(t, x) must vectorize over a leading path axis:
-    x of shape (M, d) yields drift (M, d) and diffusion (M, d, d) (a
-    constant (d, d) diffusion return is also accepted).
+    The scheme uses the diffusion only through its product with a Brownian
+    increment, so the system carries mu(t, x) and noise(t, x, db) =
+    sigma(t, x) db.  Both vectorize over leading axes: x and db of shape
+    (..., d) yield (..., d).
     """
 
     d: int
     A: np.ndarray
     mu: Callable
-    sigma: Callable
+    noise: Callable
     beta: float
     eta: float
     mu_l0: float = 0.0
@@ -137,15 +137,15 @@ class PathBundle:
 
 @dataclass(frozen=True)
 class PerturbedCoefficients:
-    """Drift/diffusion callables together with their sup-norm defect gamma."""
+    """Drift and noise callables together with their sup-norm defect gamma."""
 
     mu: Callable
-    sigma: Callable
+    noise: Callable
     gamma: float = 0.0
 
 
 def exact_coefficients(sys):
-    return PerturbedCoefficients(mu=sys.mu, sigma=sys.sigma, gamma=0.0)
+    return PerturbedCoefficients(mu=sys.mu, noise=sys.noise, gamma=0.0)
 
 
 @dataclass
@@ -156,11 +156,9 @@ class ValidationReport:
     checks: dict = field(default_factory=dict)
 
 
-def _sigma_at(sigma, t, x):
-    s = np.asarray(sigma(t, x), dtype=np.float64)
-    if s.ndim == 2:
-        s = np.broadcast_to(s, x.shape[:-1] + s.shape)
-    return s
+def _sigma_rows(noise, t, x, eye):
+    """sigma(t, x) transposed: row j is sigma(t, x) e_j, e_j row j of eye."""
+    return noise(t, x[None].repeat(len(eye), axis=0), eye)
 
 
 def validate_system(sys, trials=1000, horizon=1.0, seed=0, scale=2.0):
@@ -179,12 +177,13 @@ def validate_system(sys, trials=1000, horizon=1.0, seed=0, scale=2.0):
     xs = rng.normal(0.0, scale, (trials, d))
     ys = rng.normal(0.0, scale, (trials, d))
 
+    eye = np.eye(d)
     worst = np.inf
     witness = None
     lip_ok = True
     for t, x, y in zip(ts, xs, ys):
         dmu = np.asarray(sys.mu(t, x)) - np.asarray(sys.mu(t, y))
-        ds = _sigma_at(sys.sigma, t, x[None]) - _sigma_at(sys.sigma, t, y[None])
+        ds = _sigma_rows(sys.noise, t, x, eye) - _sigma_rows(sys.noise, t, y, eye)
         diff = x - y
         lhs = (
             diff @ dmu
@@ -208,7 +207,7 @@ def validate_system(sys, trials=1000, horizon=1.0, seed=0, scale=2.0):
         np.linalg.norm(np.asarray(sys.mu(t, zero))) for t in ts[: min(trials, 64)]
     )
     disp_sigma = max(
-        np.sqrt(np.sum(_sigma_at(sys.sigma, t, zero[None]) ** 2))
+        np.sqrt(np.sum(_sigma_rows(sys.noise, t, zero, eye) ** 2))
         for t in ts[: min(trials, 64)]
     )
     psd_ok = all(float(x @ (sys.A @ x)) >= -1e-10 * (x @ x) for x in xs[:100])
@@ -274,9 +273,7 @@ def step_pes(factor, coeffs, y, t_n, db):
     """One scheme step: (I+hA)^{-1}(y + h mu(t,y) + sigma(t,y) db)."""
     h = factor.h
     drift = np.asarray(coeffs.mu(t_n, y), dtype=np.float64)
-    s = _sigma_at(coeffs.sigma, t_n, y)
-    noise = np.einsum("...ij,...j->...i", s, db)
-    out = factor.solve(y + h * drift + noise)
+    out = factor.solve(y + h * drift + coeffs.noise(t_n, y, db))
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("scheme state became nonfinite (blow-up)")
     return out
@@ -320,24 +317,22 @@ def simulate(sys, coeffs, x0, cfg, bundle):
 def ou_exact_value(A, sigma0, betaw, x0, horizon):
     """E sum_m beta_m (Y_m)^2 at time T for dY = -AY dt + sigma0 dB.
 
-    Mean is exp(-TA) x0; the covariance integral of the matrix exponential
-    is evaluated once by adaptive quadrature (robust for singular A).  A
-    start point x0 of shape (d,) gives a float, a batch (P, d) a (P,) array.
+    Mean is exp(-TA) x0.  The covariance int_0^T exp(-sA) Q exp(-sA^T) ds,
+    Q = sigma0 sigma0^T, is exp(-TA) times the upper-right block of
+    exp(T [[A, Q], [0, -A^T]]) (Van Loan 1978), in closed form also for
+    singular A.  A start point x0 of shape (d,) gives a float, a batch
+    (P, d) a (P,) array.
     """
     A = np.asarray(A, dtype=np.float64)
     sigma0 = np.asarray(sigma0, dtype=np.float64)
     betaw = np.asarray(betaw, dtype=np.float64).reshape(-1)
     x0 = np.asarray(x0, dtype=np.float64)
+    d = len(A)
     decay = expm(-horizon * A)
-    q = sigma0 @ sigma0.T
-
-    def integrand(s):
-        e = expm(-s * A)
-        return e @ q @ e.T
-
-    cov, _ = quad_vec(integrand, 0.0, horizon, epsabs=1e-12, epsrel=1e-12)
+    block = np.block([[A, sigma0 @ sigma0.T], [np.zeros((d, d)), -A.T]])
+    cov = decay @ expm(horizon * block)[:d, d:]
     var = np.diag(cov)
-    values = [float(betaw @ ((decay @ x) ** 2 + var)) for x in x0.reshape(-1, len(A))]
+    values = [float(betaw @ ((decay @ x) ** 2 + var)) for x in x0.reshape(-1, d)]
     return np.array(values) if x0.ndim == 2 else values[0]
 
 

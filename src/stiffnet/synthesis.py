@@ -268,12 +268,13 @@ def diffusion_contract_net(sigma_col_nets, b):
 
 
 def coefficients_from_nets(mu_net, sigma_col_nets, gamma=0.0, extra=None):
-    """Drift/diffusion callables evaluating the coefficient networks.
+    """Drift and noise callables evaluating the coefficient networks.
 
     The networks take (t, x) (optionally followed by a fixed action vector
-    `extra`); the callables take (t, x) with x batched over paths.
+    `extra`); the callables take (t, x) with x batched over paths.  The
+    noise sum_j col_j(t, x) db_j is summed left to right, the sum
+    diffusion_contract_net builds into the unrolled network.
     """
-    d = len(sigma_col_nets)
 
     def augment(t, x):
         x = np.asarray(x, dtype=np.float64)
@@ -285,12 +286,11 @@ def coefficients_from_nets(mu_net, sigma_col_nets, gamma=0.0, extra=None):
     def mu(t, x):
         return realize(mu_net, augment(t, x))
 
-    def sigma(t, x):
+    def noise(t, x, db):
         z = augment(t, x)
-        cols = [realize(net, z) for net in sigma_col_nets]
-        return np.stack(cols, axis=-1)
+        return sum(realize(net, z) * db[..., j, None] for j, net in enumerate(sigma_col_nets))
 
-    return PerturbedCoefficients(mu=mu, sigma=sigma, gamma=gamma)
+    return PerturbedCoefficients(mu=mu, noise=noise, gamma=gamma)
 
 
 def _as_branch(coeff_net, d, out_scale=None):

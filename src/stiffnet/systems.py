@@ -82,16 +82,6 @@ def _diag_column_net(d, i, scale):
     return Network([Layer(w1, np.zeros(2)), Layer(w2, np.zeros(d))])
 
 
-def _diag_sigma(scale, d):
-    eye = np.eye(d)
-
-    def sigma(t, x):
-        x = np.asarray(x, dtype=np.float64)
-        return (scale * x)[..., :, None] * eye
-
-    return sigma
-
-
 def _zero_drift(t, x):
     return np.zeros_like(np.asarray(x, dtype=np.float64))
 
@@ -111,13 +101,13 @@ def _diagonal_recipe(id, d, a_diag, drift, noise, eta, sigma_kind, kappa0, param
     beta = c + eta * c * c
     if sigma_kind == "const":
         sigma0 = s * np.eye(d)
-        sigma = lambda t, x: sigma0
+        noise = lambda t, x, db: s * db
         sigma_l0, sigma_l1 = s * np.sqrt(d), 0.0
         width = d if c != 0.0 else 1  # 1 is the smallest width holding a constant
         cols = [_constant_net(d, width, sigma0[:, i]) for i in range(d)]
     elif sigma_kind == "diag":
         sigma0 = None
-        sigma = _diag_sigma(s, d)
+        noise = lambda t, x, db: (s * np.asarray(x, dtype=np.float64)) * db
         beta += 0.5 * (1.0 + eta) * s * s
         sigma_l0, sigma_l1 = 0.0, s
         cols = [_diag_column_net(d, i, s) for i in range(d)]
@@ -134,7 +124,7 @@ def _diagonal_recipe(id, d, a_diag, drift, noise, eta, sigma_kind, kappa0, param
         d=d,
         A=np.diag(a_diag),
         mu=mu,
-        sigma=sigma,
+        noise=noise,
         beta=beta,
         eta=eta,
         mu_l0=0.0,
@@ -324,7 +314,7 @@ def perturb_coefficients(sys, gamma):
     """
     gamma = float(gamma)
     if gamma == 0.0:
-        return PerturbedCoefficients(mu=sys.mu, sigma=sys.sigma, gamma=0.0)
+        return PerturbedCoefficients(mu=sys.mu, noise=sys.noise, gamma=0.0)
     d = sys.d
 
     def mu(t, x):
@@ -333,15 +323,12 @@ def perturb_coefficients(sys, gamma):
         norm = np.linalg.norm(w, axis=-1, keepdims=True)
         return sys.mu(t, x) + (0.5 * gamma) * w / np.maximum(1.0, norm)
 
-    def sigma(t, x):
+    def noise(t, x, db):
         x = np.asarray(x, dtype=np.float64)
-        base = np.asarray(sys.sigma(t, x), dtype=np.float64)
-        if base.ndim == 2:
-            base = np.broadcast_to(base, x.shape[:-1] + base.shape)
         bump = (0.5 * gamma / np.sqrt(d)) * np.sin(x)
-        return base + bump[..., :, None] * np.eye(d)
+        return sys.noise(t, x, db) + bump * db
 
-    return PerturbedCoefficients(mu=mu, sigma=sigma, gamma=gamma)
+    return PerturbedCoefficients(mu=mu, noise=noise, gamma=gamma)
 
 
 RECIPES = {

@@ -107,6 +107,8 @@ def test_bad_config_exits_2(tmp_path):
         {"study": "synth", "system": "ou", "d": 2, "eps": 0.5, "cplan": "big"},
         {"study": "game", "d": 2, "u1": [[0.5], [-0.5, 1.0]]},
         {"study": "game", "d": 2, "params": {"m1": 2}},
+        {"study": "synth", "system": "relu_drift", "d": 2, "eps": 0.5,
+         "params": {"l_mu": 0.5, "noise_scale": 0.1}},
     ],
 )
 def test_values_a_study_cannot_run_on_exit_2(tmp_path, cfg):
@@ -168,6 +170,48 @@ def test_synth_galerkin_heat_plans_without_overflow(tmp_path):
            "params": {"noise_scale": 0.1}}
     path = _write_config(tmp_path, cfg)
     assert main(["synth", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_nonlinear_synth_runs_with_an_explicit_cplan(tmp_path):
+    # without cplan this config is a config error: there is nothing to calibrate against
+    cfg = {"study": "synth", "system": "relu_drift", "d": 2, "eps": 0.5,
+           "params": {"l_mu": 0.5, "noise_scale": 0.1}, "cplan": 1e12}
+    path = _write_config(tmp_path, cfg)
+    assert main(["synth", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "system, params, paths",
+    [
+        ("ou", {"noise": 0.3, "sigma_kind": "const"}, 2048),
+        ("relu_drift", {"noise_scale": 0.3}, 256),
+    ],
+)
+def test_additive_noise_convergence_passes_at_order_one(tmp_path, system, params, paths):
+    cfg = {"study": "convergence", "system": system, "d": 3, "params": params,
+           "paths": paths, "n_list": [8, 16, 32], "seed": 201}
+    path = _write_config(tmp_path, cfg)
+    out = str(tmp_path / "out")
+    assert main(["convergence", "--config", path, "--out", out]) == EXIT_OK
+    assert 0.9 <= _read_manifest(out)["strong_slope"] <= 1.1
+
+
+def test_scaling_validates_each_dimension_once(tmp_path, monkeypatch):
+    import stiffnet.systems as systems
+
+    dims = []
+    validate = systems.validate_system
+
+    def counted(sys, **kwargs):
+        dims.append(sys.d)
+        return validate(sys, **kwargs)
+
+    monkeypatch.setattr(systems, "validate_system", counted)
+    cfg = {"study": "scaling", "d_list": [2, 4], "eps_list": [0.4, 0.2], "d_fixed": 4,
+           "params": {"decay": 0.5, "noise": 0.1}, "seed": 3}
+    path = _write_config(tmp_path, cfg)
+    assert main(["scaling", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert sorted(dims) == [2, 4]
 
 
 def test_game_study_and_manifest_round_trip(tmp_path):

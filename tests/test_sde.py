@@ -31,15 +31,15 @@ from stiffnet.sde import (
 )
 
 
-def _zero_system(d, A=None, sigma=None, beta=0.0, eta=0.5, sigma_l0=0.0):
+def _zero_system(d, A=None, noise=None, beta=0.0, eta=0.5, sigma_l0=0.0):
     A = np.zeros((d, d)) if A is None else A
-    sig = (lambda t, x: np.zeros((d, d))) if sigma is None else sigma
+    noise = (lambda t, x, db: np.zeros_like(db)) if noise is None else noise
     kappa0 = max(1.0, float(np.linalg.norm(A, 2)))
     return StiffSystem(
         d=d,
         A=A,
         mu=lambda t, x: np.zeros_like(np.asarray(x, dtype=np.float64)),
-        sigma=sig,
+        noise=noise,
         beta=beta,
         eta=eta,
         sigma_l0=sigma_l0,
@@ -63,7 +63,7 @@ def test_validate_relu_drift_passes():
         d=d,
         A=np.zeros((d, d)),
         mu=lambda t, x: np.maximum(np.asarray(x, dtype=np.float64), 0.0),
-        sigma=lambda t, x: np.zeros((d, d)),
+        noise=lambda t, x, db: np.zeros_like(db),
         beta=2.0,  # L + eta L^2 with L = 1, eta ~ 1
         eta=0.99,
         mu_l1=1.0,
@@ -77,7 +77,7 @@ def test_validate_catches_violation():
         d=d,
         A=np.zeros((d, d)),
         mu=lambda t, x: 3.0 * np.asarray(x, dtype=np.float64),
-        sigma=lambda t, x: np.zeros((d, d)),
+        noise=lambda t, x, db: np.zeros_like(db),
         beta=0.0,
         eta=0.99,
         mu_l1=3.0,
@@ -137,7 +137,7 @@ def test_step_examples():
     coeffs = exact_coefficients(_zero_system(1, A=np.array([[100.0]])))
     assert np.allclose(step_pes(f, coeffs, np.array([1.0]), 0.0, np.zeros(1)), 0.5)
     # A = 0, mu = 0, sigma = I: additive increment
-    sys_noise = _zero_system(1, sigma=lambda t, x: np.eye(1), sigma_l0=1.0)
+    sys_noise = _zero_system(1, noise=lambda t, x, db: db, sigma_l0=1.0)
     f0 = ImplicitFactor(np.zeros((1, 1)), 0.01)
     got = step_pes(f0, exact_coefficients(sys_noise), np.array([2.0]), 0.0, np.array([0.7]))
     assert np.allclose(got, 2.7)
@@ -146,7 +146,7 @@ def test_step_examples():
         d=1,
         A=np.array([[100.0]]),
         mu=lambda t, x: np.ones_like(np.asarray(x, dtype=np.float64)),
-        sigma=lambda t, x: np.zeros((1, 1)),
+        noise=lambda t, x, db: np.zeros_like(db),
         beta=0.0,
         eta=0.5,
         mu_l0=1.0,
@@ -157,7 +157,7 @@ def test_step_examples():
 
 
 def test_simulate_single_step_brownian():
-    sys = _zero_system(2, sigma=lambda t, x: np.eye(2), sigma_l0=np.sqrt(2.0))
+    sys = _zero_system(2, noise=lambda t, x, db: db, sigma_l0=np.sqrt(2.0))
     cfg = EulerConfig(1.0, 1)
     bundle = PathBundle(3, 16, 1, 2, 1.0)
     end = simulate(sys, exact_coefficients(sys), np.array([1.0, -1.0]), cfg, bundle)
@@ -220,6 +220,42 @@ def test_simulate_batch_rows_equal_single_point_runs():
                 assert np.array_equal(rows, simulate(rec.system, coeffs, x, cfg, bundle))
 
 
+def _matrix_step_simulate(sys, coeffs, x0, cfg, bundle):
+    # the scheme as a dense (M, d, d) diffusion matrix, recovered through the
+    # unit vectors, contracted with the increment by einsum
+    d, m = sys.d, bundle.n_paths
+    factor = ImplicitFactor(sys.A, cfg.h)
+    y = factor.solve(np.broadcast_to(x0, (m, d)).copy())
+    for n, t in enumerate(cfg.grid()[:-1]):
+        sig = coeffs.noise(t, np.broadcast_to(y[:, None, :], (m, d, d)), np.eye(d))
+        sig = np.swapaxes(sig, -1, -2)
+        noise = np.einsum("...ij,...j->...i", sig, bundle.increments(n))
+        y = factor.solve(y + cfg.h * np.asarray(coeffs.mu(t, y)) + noise)
+    return y
+
+
+def test_simulate_noise_term_equals_matrix_contraction():
+    from stiffnet import make_controlled_relu_drift
+    from stiffnet.synthesis import coefficients_from_nets
+
+    cases = [
+        (make_ou(8, decay=0.5, noise=0.5, sigma_kind="diag"), None),
+        (make_ou(16, decay=0.5, noise=0.1), None),
+        (make_galerkin_heat(5, drift_scale=0.4, noise_scale=0.6, sigma_kind="diag"), None),
+    ]
+    for d in (2, 8):
+        rec = make_controlled_relu_drift(d, noise_scale=0.3)
+        extra = np.array([0.5, -0.25])
+        cases.append((rec, coefficients_from_nets(rec.mu_net, rec.sigma_col_nets, extra=extra)))
+    for rec, coeffs in cases:
+        coeffs = exact_coefficients(rec.system) if coeffs is None else coeffs
+        cfg = EulerConfig(1.0, 8)
+        bundle = PathBundle(21, 64, 8, rec.d, cfg.h)
+        x0 = np.random.default_rng(6).uniform(-1, 1, rec.d)
+        got = simulate(rec.system, coeffs, x0, cfg, bundle)
+        assert np.array_equal(got, _matrix_step_simulate(rec.system, coeffs, x0, cfg, bundle))
+
+
 def _count_draws(monkeypatch):
     draws = []
     increments = PathBundle.increments
@@ -277,24 +313,70 @@ def test_ou_exact_value_zero_horizon():
 def test_ou_exact_value_batch_equals_single_points(monkeypatch):
     import stiffnet.sde as sde
 
-    quads = []
-    quad_vec = sde.quad_vec
+    exps = []
+    expm = sde.expm
 
     def counted(*args, **kwargs):
-        quads.append(1)
-        return quad_vec(*args, **kwargs)
+        exps.append(1)
+        return expm(*args, **kwargs)
 
     A = np.array([[1.0, 0.3, 0.0], [-0.2, 0.8, 0.1], [0.0, 0.4, 1.5]])
     sigma0 = np.array([[0.5, 0.0, 0.1], [0.2, 0.3, 0.0], [0.0, 0.1, 0.4]])
     betaw = np.array([1.0, 0.5, 2.0])
     xs = np.random.default_rng(3).normal(size=(20, 3))
     singles = [ou_exact_value(A, sigma0, betaw, x, 1.5) for x in xs]
-    monkeypatch.setattr(sde, "quad_vec", counted)
+    monkeypatch.setattr(sde, "expm", counted)
     batch = ou_exact_value(A, sigma0, betaw, xs, 1.5)
     assert batch.shape == (20,)
     assert np.array_equal(batch, singles)
-    assert len(quads) == 1
+    assert len(exps) == 2  # the decay and one block exponential, for all points
     assert isinstance(singles[0], float)
+
+
+def test_ou_exact_value_covariance_matches_quadrature():
+    from scipy.integrate import quad_vec
+    from scipy.linalg import expm
+
+    A = np.array([[1.0, 0.3, 0.0], [-0.2, 0.8, 0.1], [0.0, 0.4, 1.5]])
+    sigma0 = np.array([[0.5, 0.0, 0.1], [0.2, 0.3, 0.0], [0.0, 0.1, 0.4]])
+    q = sigma0 @ sigma0.T
+    T = 1.5
+
+    def integrand(s):
+        e = expm(-s * A)
+        return e @ q @ e.T
+
+    cov, _ = quad_vec(integrand, 0.0, T, epsabs=1e-12, epsrel=1e-12)
+    x0 = np.zeros(3)
+    for i in range(3):
+        got = ou_exact_value(A, sigma0, np.eye(3)[i], x0, T)
+        assert got == pytest.approx(cov[i, i], rel=1e-12, abs=0.0)
+
+
+def test_ou_exact_value_without_decay_is_exact():
+    # A = 0: E|Y_T|^2 = |x0|^2 + T |sigma0|_F^2 with no rounding
+    x0 = np.array([1.0, -1.0])
+    assert ou_exact_value(np.zeros((2, 2)), np.eye(2), np.ones(2), x0, 1.0) == 4.0
+    assert ou_exact_value(np.zeros((2, 2)), np.eye(2), np.ones(2), np.zeros(2), 1.0) == 2.0
+
+
+def test_cli_import_leaves_out_quadrature():
+    import os
+    import subprocess
+    import sys
+
+    import stiffnet
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stiffnet.__file__)))
+    code = "import sys, stiffnet.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_recipe_exact_value_batch_equals_single_points():
@@ -390,7 +472,7 @@ def test_rate_study_brownian_coarse_sums_match_reference():
     # A = 0, mu = 0, sigma = I: every coarse state is x0 plus the summed fine
     # increments, so it meets the reference at each coarse grid point
     d = 2
-    sys = _zero_system(d, sigma=lambda t, x: np.eye(d), sigma_l0=np.sqrt(d))
+    sys = _zero_system(d, noise=lambda t, x, db: db, sigma_l0=np.sqrt(d))
     res = rate_study(
         sys, exact_coefficients(sys), _strong_cost(d), np.ones(d), [2, 4, 8], 1.0, 7, 64
     )
@@ -512,7 +594,7 @@ def test_moment_check_contraction_case():
 def test_moment_check_brownian_closed_form():
     # A = 0, mu = 0, sigma = I: E|Y_T|^2 = |x0|^2 + dT, below the explicit bound
     d = 2
-    sys = _zero_system(d, sigma=lambda t, x: np.eye(d), sigma_l0=np.sqrt(d), eta=0.5)
+    sys = _zero_system(d, noise=lambda t, x, db: db, sigma_l0=np.sqrt(d), eta=0.5)
     cfg = EulerConfig(1.0, 32)
     bundle = PathBundle(12, 4096, 32, d, cfg.h)
     rep = moment_check(sys, np.ones(d), cfg, bundle, p=2.0)

@@ -120,12 +120,14 @@ def test_diffusion_contract_identity_sigma():
         w1 = np.zeros((1, d + 1))
         col = np.eye(d)[:, i]
         cols.append(Network([Layer(w1, np.zeros(1)), Layer(np.zeros((d, 1)), col)]))
-    net = diffusion_contract_net(cols, np.array([1.0, 2.0]))
-    out = realize(net, np.array([0.3, 1.0, -1.0]))
-    assert np.allclose(out, np.array([1.0, 2.0]))
-    zero = diffusion_contract_net(cols, np.zeros(d))
-    assert np.allclose(realize(zero, np.array([0.3, 1.0, -1.0])), 0.0)
-    assert net.size <= d * d * cols[0].size
+    noise = coefficients_from_nets(cols[0], cols).noise
+    t, x = 0.3, np.array([1.0, -1.0])
+    for b in (np.array([1.0, 2.0]), np.zeros(d)):
+        net = diffusion_contract_net(cols, b)
+        out = realize(net, np.concatenate([[t], x]))
+        assert np.array_equal(out, noise(t, x, b))
+        assert np.array_equal(out, b)
+        assert net.size <= d * d * cols[0].size
 
 
 def test_diffusion_contract_matches_matvec():
@@ -135,7 +137,7 @@ def test_diffusion_contract_matches_matvec():
     net = diffusion_contract_net(rec.sigma_col_nets, b)
     for _ in range(100):
         t, x = rng.uniform(), rng.normal(size=3)
-        want = rec.system.sigma(t, x) @ b
+        want = rec.system.noise(t, x, b)
         got = realize(net, np.concatenate([[t], x]))
         assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
 

@@ -21,6 +21,12 @@ def _coeff_input(t, x):
     return np.concatenate([[t], np.asarray(x, dtype=np.float64)])
 
 
+def _sigma(noise, t, x):
+    # sigma(t, x) recovered from the noise contraction on the unit vectors
+    d = len(x)
+    return noise(t, np.broadcast_to(x, (d, d)), np.eye(d)).T
+
+
 def test_galerkin_spectral_matrix():
     rec = make_galerkin_heat(3, diffusivity=1.0)
     want = np.diag(np.pi**2 * np.array([1.0, 4.0, 9.0]))
@@ -62,7 +68,7 @@ def test_galerkin_diag_noise_recipe():
     rng = np.random.default_rng(2)
     for _ in range(20):
         t, x = rng.uniform(), rng.normal(size=4)
-        sig = rec.system.sigma(t, x)
+        sig = _sigma(rec.system.noise, t, x)
         assert np.allclose(sig, 0.6 * np.diag(x))
         cols = np.stack(
             [realize(c, _coeff_input(t, x)) for c in rec.sigma_col_nets], axis=1
@@ -93,7 +99,7 @@ def test_ou_diag_noise_recipe():
     rec = make_ou(3, decay=0.5, noise=0.7, sigma_kind="diag")
     assert not rec.linear
     x = np.array([1.0, -2.0, 0.5])
-    assert np.allclose(rec.system.sigma(0.0, x), 0.7 * np.diag(x))
+    assert np.allclose(_sigma(rec.system.noise, 0.0, x), 0.7 * np.diag(x))
     # beta covers the multiplicative-noise monotonicity contribution
     assert rec.system.beta == pytest.approx(0.5 * 1.5 * 0.49)
     assert validate_system(rec.system, trials=300).passed
@@ -189,7 +195,7 @@ def test_perturbation_stays_within_gamma():
     for _ in range(200):
         t, x = rng.uniform(), rng.normal(scale=3.0, size=3)
         dmu = np.linalg.norm(coeffs.mu(t, x) - rec.system.mu(t, x))
-        dsig = np.linalg.norm(coeffs.sigma(t, x) - rec.system.sigma(t, x))
+        dsig = np.linalg.norm(_sigma(coeffs.noise, t, x) - _sigma(rec.system.noise, t, x))
         assert dmu + dsig <= gamma + 1e-12
     assert coeffs.gamma == gamma
 
