@@ -775,18 +775,11 @@ _RUNNERS = {
 
 
 def run_study(cfg, out_dir):
-    """Run one study into out_dir; a ConfigError leaves no directory it made."""
     study = cfg["study"]
     seed = resolve_seed(cfg)
-    made = not os.path.exists(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    try:
-        artifacts, extra, ok = _RUNNERS[study](cfg, out_dir, seed)
-    except ConfigError:
-        if made:
-            os.rmdir(out_dir)
-        raise
+    artifacts, extra, ok = _RUNNERS[study](cfg, out_dir, seed)
     wall_ms = (time.perf_counter() - t0) * 1e3
     write_manifest(
         out_dir, study, cfg, seed, artifacts, extra, wall_ms, "ok" if ok else "failed"

@@ -317,11 +317,13 @@ def simulate(sys, coeffs, x0, cfg, bundle):
 def ou_exact_value(A, sigma0, betaw, x0, horizon):
     """E sum_m beta_m (Y_m)^2 at time T for dY = -AY dt + sigma0 dB.
 
-    Mean is exp(-TA) x0.  The covariance int_0^T exp(-sA) Q exp(-sA^T) ds,
-    Q = sigma0 sigma0^T, is exp(-TA) times the upper-right block of
-    exp(T [[A, Q], [0, -A^T]]) (Van Loan 1978), in closed form also for
-    singular A.  A start point x0 of shape (d,) gives a float, a batch
-    (P, d) a (P,) array.
+    Mean is exp(-TA) x0.  The covariance C(T) = int_0^T exp(-sA) Q
+    exp(-sA^T) ds, Q = sigma0 sigma0^T, is exp(-hA) times the upper-right
+    block of exp(h [[A, Q], [0, -A^T]]) (Van Loan 1978) on a step
+    h = T / 2^k with |A|_1 h <= 1, and then k doublings
+    C(2h) = C(h) + exp(-hA) C(h) exp(-hA^T).  No factor holds exp(+TA), so
+    stiff A does not overflow, and singular A stays in closed form.  A start
+    point x0 of shape (d,) gives a float, a batch (P, d) a (P,) array.
     """
     A = np.asarray(A, dtype=np.float64)
     sigma0 = np.asarray(sigma0, dtype=np.float64)
@@ -329,8 +331,14 @@ def ou_exact_value(A, sigma0, betaw, x0, horizon):
     x0 = np.asarray(x0, dtype=np.float64)
     d = len(A)
     decay = expm(-horizon * A)
+    k = int(np.ceil(np.log2(max(horizon * np.linalg.norm(A, 1), 1.0))))
     block = np.block([[A, sigma0 @ sigma0.T], [np.zeros((d, d)), -A.T]])
-    cov = decay @ expm(horizon * block)[:d, d:]
+    F = expm(horizon / 2**k * block)
+    step = F[d:, d:].T  # exp(-hA)
+    cov = step @ F[:d, d:]
+    for _ in range(k):
+        cov = cov + step @ cov @ step.T
+        step = step @ step
     var = np.diag(cov)
     values = [float(betaw @ ((decay @ x) ** 2 + var)) for x in x0.reshape(-1, d)]
     return np.array(values) if x0.ndim == 2 else values[0]

@@ -107,8 +107,6 @@ def test_bad_config_exits_2(tmp_path):
         {"study": "synth", "system": "ou", "d": 2, "eps": 0.5, "cplan": "big"},
         {"study": "game", "d": 2, "u1": [[0.5], [-0.5, 1.0]]},
         {"study": "game", "d": 2, "params": {"m1": 2}},
-        {"study": "synth", "system": "relu_drift", "d": 2, "eps": 0.5,
-         "params": {"l_mu": 0.5, "noise_scale": 0.1}},
     ],
 )
 def test_values_a_study_cannot_run_on_exit_2(tmp_path, cfg):
@@ -172,8 +170,19 @@ def test_synth_galerkin_heat_plans_without_overflow(tmp_path):
     assert main(["synth", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
+def test_nonlinear_synth_without_cplan_exits_2(tmp_path, capsys):
+    # the recipe has no closed-form value to calibrate cplan against; the
+    # runner finds that out, so its output directory may exist, but empty
+    cfg = {"study": "synth", "system": "relu_drift", "d": 2, "eps": 0.5,
+           "params": {"l_mu": 0.5, "noise_scale": 0.1}}
+    path = _write_config(tmp_path, cfg)
+    out = os.path.join(tmp_path, "out")
+    assert main(["synth", "--config", path, "--out", out]) == EXIT_CONFIG
+    assert "cplan" in capsys.readouterr().err
+    assert not os.path.exists(out) or os.listdir(out) == []
+
+
 def test_nonlinear_synth_runs_with_an_explicit_cplan(tmp_path):
-    # without cplan this config is a config error: there is nothing to calibrate against
     cfg = {"study": "synth", "system": "relu_drift", "d": 2, "eps": 0.5,
            "params": {"l_mu": 0.5, "noise_scale": 0.1}, "cplan": 1e12}
     path = _write_config(tmp_path, cfg)

@@ -333,24 +333,56 @@ def test_ou_exact_value_batch_equals_single_points(monkeypatch):
     assert isinstance(singles[0], float)
 
 
-def test_ou_exact_value_covariance_matches_quadrature():
+def _quadrature_variances(A, sigma0, T):
     from scipy.integrate import quad_vec
     from scipy.linalg import expm
 
-    A = np.array([[1.0, 0.3, 0.0], [-0.2, 0.8, 0.1], [0.0, 0.4, 1.5]])
-    sigma0 = np.array([[0.5, 0.0, 0.1], [0.2, 0.3, 0.0], [0.0, 0.1, 0.4]])
     q = sigma0 @ sigma0.T
-    T = 1.5
 
     def integrand(s):
         e = expm(-s * A)
         return e @ q @ e.T
 
-    cov, _ = quad_vec(integrand, 0.0, T, epsabs=1e-12, epsrel=1e-12)
-    x0 = np.zeros(3)
-    for i in range(3):
-        got = ou_exact_value(A, sigma0, np.eye(3)[i], x0, T)
-        assert got == pytest.approx(cov[i, i], rel=1e-12, abs=0.0)
+    cov, _ = quad_vec(integrand, 0.0, T, epsabs=1e-13, epsrel=1e-13)
+    return np.diag(cov)
+
+
+def _variances(A, sigma0, T):
+    d = len(A)
+    return np.array(
+        [ou_exact_value(A, sigma0, np.eye(d)[i], np.zeros(d), T) for i in range(d)]
+    )
+
+
+def _nonsymmetric_ou():
+    A = np.array([[1.0, 0.3, 0.0], [-0.2, 0.8, 0.1], [0.0, 0.4, 1.5]])
+    sigma0 = np.array([[0.5, 0.0, 0.1], [0.2, 0.3, 0.0], [0.0, 0.1, 0.4]])
+    return A, sigma0, 1.5
+
+
+def _stiff_galerkin(d):
+    # lambda_max T = pi^2 d^2 > 709 for d >= 9: exp(+TA) would overflow to inf
+    recipe = make_galerkin_heat(d)
+    return recipe.system.A, recipe.sigma0, 1.0
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_nonsymmetric_ou, lambda: _stiff_galerkin(9), lambda: _stiff_galerkin(16)],
+    ids=["nonsymmetric", "galerkin_d9", "galerkin_d16"],
+)
+def test_ou_exact_value_covariance_matches_quadrature(case):
+    A, sigma0, T = case()
+    got = _variances(A, sigma0, T)
+    np.testing.assert_allclose(got, _quadrature_variances(A, sigma0, T), rtol=1e-12, atol=0)
+
+
+def test_ou_exact_value_stiff_decay_is_finite():
+    # decay 3.2e4 at T = 1: the variance is noise^2 (1 - e^(-2aT)) / (2a) per coordinate
+    a, s, d = 3.2e4, 0.1, 4
+    x0 = np.ones(d)
+    got = ou_exact_value(a * np.eye(d), s * np.eye(d), np.ones(d), x0, 1.0)
+    assert got == pytest.approx(d * s**2 / (2 * a), rel=1e-12)
 
 
 def test_ou_exact_value_without_decay_is_exact():
