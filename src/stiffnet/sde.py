@@ -11,7 +11,10 @@ only in the linear term:
 
     (I + hA) Y_{n+1} = Y_n + h mu(t_n, Y_n) + sigma(t_n, Y_n) dB_{n+1},
 
-with the initial state projected once through (I + hA)^{-1}.  Running the
+with the initial state projected once through (I + hA)^{-1}.  That inverse
+is formed once per step size (ImplicitFactor) and is the scheme's one
+implicit operator: the simulator multiplies by it on every step, and the
+unrolled networks fold the same matrix into their layers.  Running the
 scheme with network-realized coefficients at sup-distance gamma from the
 exact ones is the "perturbed" variant; gamma = 0 recovers the exact scheme.
 
@@ -233,40 +236,28 @@ def validate_system(sys, trials=1000, horizon=1.0, seed=0, scale=2.0):
 
 
 class ImplicitFactor:
-    """LU factorization of I + hA, reused across all steps and paths."""
+    """The explicit inverse (I + hA)^{-1}, formed once per step size h.
+
+    It is the one implicit operator of the scheme: the simulator applies it
+    on every step and the unrolled networks fold the same matrix into their
+    layers.  A singular I + hA (A fails <x, Ax> >= 0) raises LinAlgError.
+    """
 
     def __init__(self, A, h):
         A = np.asarray(A, dtype=np.float64)
-        d = A.shape[0]
         self.h = float(h)
-        self.d = d
-        system = np.eye(d) + self.h * A
-        try:
-            self._lu = lu_factor(system)
-        except Exception as exc:  # singular => hypothesis violated upstream
-            raise np.linalg.LinAlgError(
-                "I + hA is singular; <x, Ax> >= 0 cannot hold"
-            ) from exc
-        if not np.all(np.isfinite(self._lu[0])):
-            raise np.linalg.LinAlgError("I + hA factorization is not finite")
+        eye = np.eye(len(A))
+        self._inv = lu_solve(lu_factor(eye + self.h * A), eye)
+        if not np.all(np.isfinite(self._inv)):
+            raise np.linalg.LinAlgError("I + hA is singular; <x, Ax> >= 0 cannot hold")
 
     def solve(self, r):
-        """Solve (I + hA) z = r for a vector, an (M, d) batch or (P, M, d).
-
-        A (P, M, d) stack is solved one (M, d) block per LAPACK call: the
-        rounding of a right-hand side depends on how many others share the
-        call, so each block comes out as it does when solved alone.
-        """
-        r = np.asarray(r, dtype=np.float64)
-        if r.ndim == 1:
-            return lu_solve(self._lu, r)
-        if r.ndim == 3:
-            return np.stack([lu_solve(self._lu, block.T).T for block in r])
-        return lu_solve(self._lu, r.T).T
+        """(I + hA)^{-1} r along the last axis of a vector, (M, d) or (P, M, d)."""
+        return np.asarray(r, dtype=np.float64) @ self._inv.T
 
     def inverse(self):
         """Explicit (I + hA)^{-1}, for folding into network layers."""
-        return lu_solve(self._lu, np.eye(self.d))
+        return self._inv
 
 
 def step_pes(factor, coeffs, y, t_n, db):
@@ -514,7 +505,6 @@ def rate_study(sys, coeffs, cost, x0, n_list, horizon, seed, n_paths, oracle=Non
         "rows": rows,
         "strong_slope": fit_loglog_slope(hs, [r["strong_err"] for r in rows], magnitude),
         "weak_slope": fit_loglog_slope(hs, [r["weak_err"] for r in rows]),
-        "oracle": oracle,
     }
 
 

@@ -331,7 +331,7 @@ def unroll_value_net(
     appended to (t_n) as branch constants (the controlled variant).
     `output_shift` is added to the final output bias.
 
-    Returns (network, report); the report carries sizes, the conservative
+    Returns (network, report); the report carries the size, the conservative
     size bound, and the last-hidden-width audit of every unroll step.
     """
     d = sys.d
@@ -376,13 +376,9 @@ def unroll_value_net(
     )
     report = {
         "size": psi_all.size,
-        "depth": psi_all.depth,
         "size_bound": bound,
         "bound_ok": psi_all.size <= bound,
         "width_condition_ok": width_ok,
-        "per_path_size": path_nets[0].size,
-        "steps": n_steps,
-        "paths": n_paths,
     }
     return psi_all, report
 

@@ -116,6 +116,13 @@ def test_implicit_factor_contraction_probes():
             assert np.linalg.norm(h * (A @ z)) <= np.linalg.norm(r) + 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_implicit_factor_singular_fails_when_built():
+    # I + hA = 0: the inverse is not finite, so neither solve nor fold may see it
+    with pytest.raises(np.linalg.LinAlgError):
+        ImplicitFactor(-np.eye(2), 1.0)
+
+
 def test_implicit_factor_inverse_matrix_agrees():
     rng = np.random.default_rng(1)
     m = rng.normal(size=(4, 4))
@@ -203,21 +210,26 @@ def test_simulate_deterministic_given_seed():
 
 def test_simulate_batch_rows_equal_single_point_runs():
     # row [p, m] of a batched run is start point p driven by path m's noise
-    for rec in (
-        make_ou(3, decay=0.5, noise=0.3),
-        make_ou(16, decay=0.5, noise=0.5, sigma_kind="diag"),
-        make_galerkin_heat(5, diffusivity=0.5, drift_scale=0.4, noise_scale=0.2),
+    m = np.random.default_rng(3).normal(size=(4, 4))
+    # non-diagonal PSD A: no entry of the inverse is zero, so a batch summed
+    # in another order than a single run would show in the bits
+    dense = _zero_system(4, A=0.5 * m @ m.T, noise=lambda t, x, db: (0.3 * x) * db)
+    for sys in (
+        make_ou(3, decay=0.5, noise=0.3).system,
+        make_ou(16, decay=0.5, noise=0.5, sigma_kind="diag").system,
+        make_galerkin_heat(5, diffusivity=0.5, drift_scale=0.4, noise_scale=0.2).system,
+        dense,
     ):
-        d = rec.d
+        d = sys.d
         cfg = EulerConfig(1.0, 8)
         xs = np.random.default_rng(2).uniform(-1, 1, size=(5, d))
         for paths in (1, 3, 8):
             bundle = PathBundle(11, paths, 8, d, cfg.h)
-            coeffs = exact_coefficients(rec.system)
-            batch = simulate(rec.system, coeffs, xs, cfg, bundle)
+            coeffs = exact_coefficients(sys)
+            batch = simulate(sys, coeffs, xs, cfg, bundle)
             assert batch.shape == (5, paths, d)
             for x, rows in zip(xs, batch):
-                assert np.array_equal(rows, simulate(rec.system, coeffs, x, cfg, bundle))
+                assert np.array_equal(rows, simulate(sys, coeffs, x, cfg, bundle))
 
 
 def _matrix_step_simulate(sys, coeffs, x0, cfg, bundle):
