@@ -15,14 +15,20 @@ Conventions used throughout:
   size;
 * linear combinations and parallelizations stack first layers and
   block-diagonalize the rest.
+
+Weights are CSR (see ``network``).  The block builders below assemble the
+result's values, column indices and row pointers from the blocks' arrays
+with offset arithmetic, so no stacked or block-diagonal matrix is ever
+dense; only thin products (the add_compose seam) are formed densely.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from .network import Layer, Network, NetworkShapeError, fold_affine
+from .network import Layer, Network, NetworkShapeError, _csr, _dense, fold_affine
 
 __all__ = [
     "arch_signature",
@@ -61,17 +67,77 @@ def _require_same_arch(nets, what):
             )
 
 
+def _rows_stacked(coeffs, mats, col_offsets, n_cols):
+    """CSR of c_k W_k one under another, block k's columns shifted."""
+    starts = list(itertools.accumulate([len(m.data) for m in mats], initial=0))
+    data = np.concatenate([m.data if c == 1 else c * m.data for c, m in zip(coeffs, mats)])
+    indices = np.concatenate(
+        [np.add(m.indices, off, dtype=np.int64) for m, off in zip(mats, col_offsets)]
+    )
+    indptr = np.concatenate(
+        [np.add(m.indptr[:-1], s, dtype=np.int64) for m, s in zip(mats, starts)]
+        + [np.array(starts[-1:])]
+    )
+    return _csr(data, indices, indptr, (len(indptr) - 1, n_cols))
+
+
+def _vstack(coeffs, mats):
+    return _rows_stacked(coeffs, mats, [0] * len(mats), mats[0].shape[1])
+
+
+def _block_diag(mats):
+    offsets = list(itertools.accumulate([m.shape[1] for m in mats], initial=0))
+    return _rows_stacked([1.0] * len(mats), mats, offsets[:-1], offsets[-1])
+
+
+def _hstack(coeffs, mats):
+    """CSR of [c_1 W_1, ..., c_k W_k]: one row set, blocks side by side."""
+    offsets = list(itertools.accumulate([m.shape[1] for m in mats], initial=0))
+    rows = mats[0].shape[0]
+    ptrs = np.array([m.indptr for m in mats], dtype=np.int64)
+    counts = (ptrs[:, 1:] - ptrs[:, :-1]).ravel()
+    row_of = np.repeat(np.arange(rows * len(mats)) % rows, counts)
+    # blocks come in column order, so a stable sort by row keeps each row sorted
+    order = np.argsort(row_of, kind="stable")
+    data = np.concatenate([m.data if c == 1 else c * m.data for c, m in zip(coeffs, mats)])
+    indices = np.concatenate(
+        [np.add(m.indices, off, dtype=np.int64) for m, off in zip(mats, offsets)]
+    )
+    return _csr(data[order], indices[order], ptrs.sum(axis=0), (rows, offsets[-1]))
+
+
+# the constant blocks are read-only, so each size is built once
+@functools.lru_cache(maxsize=None)
+def _eye(d):
+    return _csr(np.ones(d), np.arange(d), np.arange(d + 1), (d, d))
+
+
+@functools.lru_cache(maxsize=None)
+def _merge(d):
+    """[I, -I]: recovers y from the pair (relu(y), relu(-y))."""
+    return _hstack([1.0, -1.0], [_eye(d), _eye(d)])
+
+
+def _carried(layer):
+    """The layer's pre-activation y as the pair (y, -y), stacked."""
+    return Layer(
+        _vstack([1.0, -1.0], [layer, layer]),
+        np.concatenate([layer.bias, -layer.bias]),
+    )
+
+
 def _stacked(layers):
     """One shared input: the layers' rows stacked."""
     return Layer(
-        np.vstack([l.weight for l in layers]), np.concatenate([l.bias for l in layers])
+        _vstack([1.0] * len(layers), layers),
+        np.concatenate([l.bias for l in layers]),
     )
 
 
 def _side_by_side(layers):
     """Block-diagonal: each layer acts on its own block of the input."""
     return Layer(
-        block_diag(*[l.weight for l in layers]), np.concatenate([l.bias for l in layers])
+        _block_diag(layers), np.concatenate([l.bias for l in layers])
     )
 
 
@@ -81,7 +147,7 @@ def _summed(coeffs, layers):
     The bias is summed left to right, starting from 0.
     """
     return Layer(
-        np.hstack([c * l.weight for c, l in zip(coeffs, layers)]),
+        _hstack(coeffs, layers),
         sum(c * l.bias for c, l in zip(coeffs, layers)),
     )
 
@@ -96,14 +162,13 @@ def identity_net(d, L):
     """
     if d < 1 or L < 1:
         raise ValueError("identity_net needs d >= 1 and L >= 1")
-    eye = np.eye(d)
+    eye = Layer(_eye(d), np.zeros(d))
     if L == 1:
-        return Network([Layer(eye, np.zeros(d))])
-    split = np.vstack([eye, -eye])
-    layers = [Layer(split, np.zeros(2 * d))]
+        return Network([eye])
+    layers = [_carried(eye)]
     for _ in range(L - 2):
-        layers.append(Layer(np.eye(2 * d), np.zeros(2 * d)))
-    layers.append(Layer(np.hstack([eye, -eye]), np.zeros(d)))
+        layers.append(Layer(_eye(2 * d), np.zeros(2 * d)))
+    layers.append(Layer(_merge(d), np.zeros(d)))
     return Network(layers)
 
 
@@ -114,10 +179,9 @@ def compose(outer, inner):
             "compose: outer expects %d inputs, inner produces %d"
             % (outer.dim_in, inner.dim_out)
         )
-    w_last, b_last = inner.layers[-1].weight, inner.layers[-1].bias
-    w_first, b_first = outer.layers[0].weight, outer.layers[0].bias
-    seam_in = Layer(np.vstack([w_last, -w_last]), np.concatenate([b_last, -b_last]))
-    seam_out = Layer(np.hstack([w_first, -w_first]), b_first)
+    first = outer.layers[0]
+    seam_out = Layer(_hstack([1.0, -1.0], [first, first]), first.bias)
+    seam_in = _carried(inner.layers[-1])
     return Network(list(inner.layers[:-1]) + [seam_in, seam_out] + list(outer.layers[1:]))
 
 
@@ -137,13 +201,13 @@ def widen_layer(net, l):
     if not 1 <= l <= net.depth - 1:
         raise ValueError("widen_layer: l must be a hidden layer index")
     layers = list(net.layers)
-    cur = layers[l - 1]
-    layers[l - 1] = Layer(
-        np.vstack([cur.weight, np.zeros((1, cur.fan_in))]),
-        np.concatenate([cur.bias, [0.0]]),
-    )
-    nxt = layers[l]
-    layers[l] = Layer(np.hstack([nxt.weight, np.zeros((nxt.fan_out, 1))]), nxt.bias)
+    cur, nxt = layers[l - 1], layers[l]
+    # an empty last row, then an empty last column
+    row_ptr = np.append(cur.indptr, len(cur.data))
+    wider = _csr(cur.data, cur.indices, row_ptr, (cur.fan_out + 1, cur.fan_in))
+    layers[l - 1] = Layer(wider, np.append(cur.bias, 0.0))
+    wider = _csr(nxt.data, nxt.indices, nxt.indptr, (nxt.fan_out, nxt.fan_in + 1))
+    layers[l] = Layer(wider, nxt.bias)
     return Network(layers)
 
 
@@ -160,7 +224,7 @@ def combine(coeffs, nets):
     _require_same_arch(nets, "combine")
     depth = nets[0].depth
     if depth == 1:
-        w = sum(c * n.layers[0].weight for c, n in zip(coeffs, nets))
+        w = sum(c * n.layers[0].csr for c, n in zip(coeffs, nets))
         b = sum(c * n.layers[0].bias for c, n in zip(coeffs, nets))
         return Network([Layer(w, b)])
     layers = [_stacked([n.layers[0] for n in nets])]
@@ -177,7 +241,7 @@ def parallel_shared(net_a, net_b):
 
 
 def _split_branch_first(branch, d):
-    w = branch.layers[0].weight
+    w = _dense(branch.layers[0])
     if w.shape[1] <= d:
         raise NetworkShapeError(
             "add_compose branch must take more inputs than the base output"
@@ -215,7 +279,10 @@ def add_compose(base, branches, u):
             "add_compose: u has length %d but branches expect %d" % (len(u), d_aux)
         )
 
-    w_last, b_last = base.layers[-1].weight, base.layers[-1].bias
+    # the seam multiplies the base's last layer, which has d rows, by the
+    # branches' first layers, which have d + d' columns: both are thin, so
+    # the products are formed densely and the seam is stored as CSR
+    w_last, b_last = _dense(base.layers[-1]), base.layers[-1].bias
     head = list(base.layers[:-1])
 
     if depth_b == 1:
@@ -227,21 +294,20 @@ def add_compose(base, branches, u):
             shift = shift + wu @ u + br.layers[0].bias
         return Network(head + [Layer(gain @ w_last, gain @ b_last + shift)])
 
-    eye = np.eye(d)
-    split = np.vstack([eye, -eye])
-    seam = [Layer(split @ w_last, split @ b_last)]
+    seam_w, seam_b = [w_last, -w_last], [b_last, -b_last]
     for br in branches:
         wx, wu = _split_branch_first(br, d)
-        seam.append(Layer(wx @ w_last, wx @ b_last + wu @ u + br.layers[0].bias))
-    layers = head + [_stacked(seam)]
+        seam_w.append(wx @ w_last)
+        seam_b.append(wx @ b_last + wu @ u + br.layers[0].bias)
+    layers = head + [Layer(np.vstack(seam_w), np.concatenate(seam_b))]
 
     if depth_b > 2:
-        carry = Layer(np.block([[eye, -eye], [-eye, eye]]), np.zeros(2 * d))
+        carry = _carried(Layer(_merge(d), np.zeros(d)))
         for j in range(1, depth_b - 1):
             layers.append(_side_by_side([carry] + [br.layers[j] for br in branches]))
 
     # the carried base value re-enters the sum with a zero bias
-    out = [Layer(np.hstack([eye, -eye]), np.zeros(d))]
+    out = [Layer(_merge(d), np.zeros(d))]
     out += [br.layers[-1] for br in branches]
     layers.append(_summed([1.0] * len(out), out))
     return Network(layers)
@@ -394,7 +460,7 @@ def weighted_square_net(beta, D, eps):
     abs_part = Layer(np.array([[1.0 / D], [-1.0 / D]]), np.zeros(2))
     first = unit.layers[0]
     # feed relu(x) + relu(-x) = |x| into the unit net's first layer
-    enter = Layer(np.hstack([first.weight, first.weight]), first.bias)
+    enter = Layer(_hstack([1.0, 1.0], [first, first]), first.bias)
     layers = [_side_by_side([abs_part] * d), _side_by_side([enter] * d)]
     layers += [_side_by_side([mid] * d) for mid in unit.layers[1:-1]]
     layers.append(_summed([b * D * D for b in beta], [unit.layers[-1]] * d))

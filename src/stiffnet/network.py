@@ -7,21 +7,28 @@ evaluates.  Networks are immutable after construction, so they are safe to
 share between threads, and all bookkeeping quantities (depth, dims, size)
 are recomputed from the stored shapes on demand.
 
+Each weight is stored in canonical CSR form (sorted column indices, no
+stored zeros, read-only arrays) and evaluated through scipy.sparse; the
+bias is a dense vector.  The constructions of the calculus are block
+structured, so almost every entry is zero, and storage and evaluation cost
+follow the nonzeros.
+
 The parameter count deliberately includes zero entries: every layer
 contributes rows*(cols+1), which is the conservative convention the rest of
-the library's complexity bounds are stated in.
+the library's complexity bounds are stated in.  ``Network.nnz`` and
+``Network.nbytes`` report what is actually stored.
 """
 
-import io
 import math
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Layer",
     "Network",
     "NetworkShapeError",
-    "relu",
     "realize",
     "fold_affine",
     "network_to_text",
@@ -31,15 +38,11 @@ __all__ = [
 ]
 
 SERIAL_TAG = "STIFFNET-NET"
-SERIAL_VERSION = 1
+SERIAL_VERSION = 2
 
 
 class NetworkShapeError(ValueError):
     """Raised when layer shapes do not chain or inputs do not fit."""
-
-
-def relu(x):
-    return np.maximum(x, 0.0)
 
 
 def _freeze(a):
@@ -48,43 +51,120 @@ def _freeze(a):
     return a
 
 
-class Layer:
-    """One affine layer: weight (N_l x N_{l-1}) and bias (N_l)."""
+class _Csr(NamedTuple):
+    """Canonical CSR arrays of one weight, as ``_csr`` makes them."""
 
-    __slots__ = ("weight", "bias")
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
+def _csr(data, indices, indptr, shape):
+    """Canonical read-only CSR arrays from float64 values and integer indices.
+
+    The column indices must increase within each row.  Stored zeros are
+    dropped here, so every builder may scale or negate freely and still
+    hand over a canonical matrix.
+    """
+    if np.count_nonzero(data) < len(data):
+        keep = data != 0.0
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        data, indices = data[keep], indices[keep]
+    idx = np.int32 if max(shape + (len(data),)) < 2**31 else np.int64
+    parts = (data, indices.astype(idx, copy=False), indptr.astype(idx, copy=False))
+    for a in parts:
+        a.flags.writeable = False
+    return _Csr(*parts, tuple(int(n) for n in shape))
+
+
+def _csr_from_dense(a):
+    flat = np.flatnonzero(a)
+    rows, cols = a.shape
+    indptr = np.searchsorted(flat, np.arange(rows + 1) * cols)
+    return _csr(a.ravel()[flat], flat % cols, indptr, a.shape)
+
+
+def _dense(w):
+    """Dense copy of CSR arrays (for thin layers and inspection)."""
+    out = np.zeros(w.shape)
+    out[np.repeat(np.arange(w.shape[0]), w.indptr[1:] - w.indptr[:-1]), w.indices] = w.data
+    return out
+
+
+def _as_csr(weight):
+    """Canonical read-only CSR arrays of a dense or sparse matrix."""
+    if isinstance(weight, _Csr):
+        return weight
+    if sp.issparse(weight):
+        if weight.ndim != 2:
+            raise NetworkShapeError("layer weight must be a matrix, got ndim=%d" % weight.ndim)
+        w = sp.csr_array(weight, dtype=np.float64, copy=True)
+        w.sum_duplicates()
+        return _csr(w.data, w.indices, w.indptr, w.shape)
+    weight = np.asarray(weight, dtype=np.float64)
+    if weight.ndim != 2:
+        raise NetworkShapeError("layer weight must be a matrix, got ndim=%d" % weight.ndim)
+    return _csr_from_dense(weight)
+
+
+class Layer:
+    """One affine layer: weight (N_l x N_{l-1}) and bias (N_l).
+
+    The weight is held in canonical CSR form, under scipy's names: the
+    nonzeros ``data``, their columns ``indices`` (increasing within each
+    row), the row starts ``indptr``, and ``shape``; the arrays are
+    read-only.  ``csr`` is the scipy.sparse.csr_array over those arrays,
+    made on first use, since a construction builds many layers that are
+    never evaluated.  ``weight`` builds a read-only dense copy on each
+    access, for inspection only.
+    """
+
+    __slots__ = ("data", "indices", "indptr", "shape", "bias", "_csr")
 
     def __init__(self, weight, bias):
-        weight = np.asarray(weight, dtype=np.float64)
+        w = _as_csr(weight)
         bias = np.asarray(bias, dtype=np.float64)
-        if weight.ndim != 2:
-            raise NetworkShapeError(
-                "layer weight must be a matrix, got ndim=%d" % weight.ndim
-            )
         if bias.ndim != 1:
             raise NetworkShapeError(
                 "layer bias must be a vector, got ndim=%d" % bias.ndim
             )
-        if weight.shape[0] != bias.shape[0]:
+        if w.shape[0] != bias.shape[0]:
             raise NetworkShapeError(
-                "weight rows (%d) must equal bias length (%d)"
-                % (weight.shape[0], bias.shape[0])
+                "weight rows (%d) must equal bias length (%d)" % (w.shape[0], bias.shape[0])
             )
-        object.__setattr__(self, "weight", _freeze(weight))
+        for name, value in zip(_Csr._fields, w):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "bias", _freeze(bias))
+        object.__setattr__(self, "_csr", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Layer is immutable")
 
     @property
+    def csr(self):
+        if self._csr is None:
+            csr = sp.csr_array((self.data, self.indices, self.indptr), shape=self.shape)
+            csr.has_canonical_format = True
+            object.__setattr__(self, "_csr", csr)
+        return self._csr
+
+    @property
+    def weight(self):
+        dense = _dense(self)
+        dense.flags.writeable = False
+        return dense
+
+    @property
     def fan_out(self):
-        return self.weight.shape[0]
+        return self.shape[0]
 
     @property
     def fan_in(self):
-        return self.weight.shape[1]
+        return self.shape[1]
 
     def __repr__(self):
-        return "Layer(%d x %d)" % self.weight.shape
+        return "Layer(%d x %d)" % self.shape
 
 
 class Network:
@@ -130,6 +210,19 @@ class Network:
         # sum over layers of N_l * (N_{l-1} + 1), zeros included
         return sum(l.fan_out * (l.fan_in + 1) for l in self.layers)
 
+    @property
+    def nnz(self):
+        """Nonzero parameters: the stored weight entries plus the nonzero biases."""
+        return sum(len(l.data) + int(np.count_nonzero(l.bias)) for l in self.layers)
+
+    @property
+    def nbytes(self):
+        """Bytes stored: CSR values, column indices, row pointers and biases."""
+        return sum(
+            l.data.nbytes + l.indices.nbytes + l.indptr.nbytes + l.bias.nbytes
+            for l in self.layers
+        )
+
     def __repr__(self):
         return "Network(depth=%d, dims=%s, size=%d)" % (
             self.depth,
@@ -143,10 +236,11 @@ def realize(net, x):
 
     x may be a single input vector of length dim_in or an array whose last
     axis has length dim_in; the function is applied along the last axis.
-    ReLU is applied after every layer except the last.
+    ReLU is applied after every layer except the last.  Each output is
+    summed over its row's nonzeros in column order, so a batch gives the
+    same bits as its points one at a time.
     """
     x = np.asarray(x, dtype=np.float64)
-    squeeze = False
     if x.ndim == 0:
         if net.dim_in != 1:
             raise NetworkShapeError(
@@ -158,14 +252,16 @@ def realize(net, x):
             "input has %d components but network expects %d"
             % (x.shape[-1], net.dim_in)
         )
-    if x.ndim == 1:
-        squeeze = True
-        x = x[None, :]
+    # one column per point, so each layer is one CSR product
+    h = np.ascontiguousarray(x.reshape(-1, net.dim_in).T)
     for layer in net.layers[:-1]:
-        x = relu(x @ layer.weight.T + layer.bias)
+        h = layer.csr @ h
+        h += layer.bias[:, None]
+        np.maximum(h, 0.0, out=h)
     last = net.layers[-1]
-    x = x @ last.weight.T + last.bias
-    return x[0] if squeeze else x
+    h = last.csr @ h
+    h += last.bias[:, None]
+    return np.ascontiguousarray(h.T).reshape(x.shape[:-1] + (net.dim_out,))
 
 
 def fold_affine(net, side, mat, vec=None):
@@ -173,7 +269,9 @@ def fold_affine(net, side, mat, vec=None):
 
     side="pre":  result realizes x -> net(M x + c); only N_0 may change.
     side="post": result realizes x -> M net(x) + c; only N_L may change.
-    Depth is unchanged, so the architecture survives the fold.
+    Depth is unchanged, so the architecture survives the fold.  The first
+    layer has the input width as columns and the last the output width as
+    rows, so the product is formed densely and stored back as CSR.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
     if vec is None:
@@ -188,50 +286,135 @@ def fold_affine(net, side, mat, vec=None):
                 "pre-fold output width %d != network input %d"
                 % (mat.shape[0], net.dim_in)
             )
-        first = layers[0]
-        layers[0] = Layer(first.weight @ mat, first.weight @ vec + first.bias)
+        w = _dense(layers[0])
+        layers[0] = Layer(w @ mat, w @ vec + layers[0].bias)
     elif side == "post":
         if mat.shape[1] != net.dim_out:
             raise NetworkShapeError(
                 "post-fold input width %d != network output %d"
                 % (mat.shape[1], net.dim_out)
             )
-        last = layers[-1]
-        layers[-1] = Layer(mat @ last.weight, mat @ last.bias + vec)
+        layers[-1] = Layer(mat @ _dense(layers[-1]), mat @ layers[-1].bias + vec)
     else:
         raise ValueError("side must be 'pre' or 'post'")
     return Network(layers)
 
 
+# --- text format ---------------------------------------------------------
+#
+# v2 (written):                         v1 (still read):
+#   STIFFNET-NET v2                       STIFFNET-NET v1
+#   layers <L>                            layers <L>
+#   per layer:                            per layer:
+#     layer <rows> <cols> <nnz>             layer <rows> <cols>
+#     <nonzeros in each row: rows ints>     <rows lines of cols hex values>
+#     <column indices: nnz ints>            bias
+#     <values: nnz hex floats>              <rows hex values>
+#     bias
+#     <rows hex floats>
+#
+# In v2 the index and value lines are absent when nnz is 0; columns
+# increase within a row and no value is zero, so each network has one text.
+
+
 def _hex_row(values):
-    return " ".join(float(v).hex() for v in values)
+    return " ".join(map(float.hex, values.tolist()))
+
+
+def _int_row(values):
+    return " ".join(map(str, values.tolist()))
+
+
+def _tokens(line, expected, what):
+    toks = line.split()
+    if len(toks) != expected:
+        raise ValueError("expected %d %s, got %d" % (expected, what, len(toks)))
+    return toks
 
 
 def _parse_row(line, expected):
-    vals = [float.fromhex(tok) for tok in line.split()]
+    try:
+        vals = [float.fromhex(tok) for tok in _tokens(line, expected, "values per row")]
+    except OverflowError:
+        raise ValueError("value out of range in network text") from None
     if not all(map(math.isfinite, vals)):
         raise ValueError("non-finite value in network text")
-    if len(vals) != expected:
-        raise ValueError("expected %d values per row, got %d" % (expected, len(vals)))
-    return vals
+    return np.array(vals)
+
+
+def _parse_ints(line, expected, what):
+    try:
+        return np.array([int(tok) for tok in _tokens(line, expected, what)], dtype=np.int64)
+    except OverflowError:
+        raise ValueError("%s out of range in network text" % what) from None
+
+
+def _layer_header(line, n_fields):
+    tag, *fields = line.split()
+    if tag != "layer" or len(fields) != n_fields:
+        raise ValueError("missing layer header")
+    fields = [int(v) for v in fields]
+    if not all(1 <= v < 2**63 for v in fields[:2]) or any(v < 0 for v in fields[2:]):
+        raise ValueError("bad layer header %r" % line)
+    return fields
+
+
+def _read_bias(take, rows):
+    if take("bias marker").strip() != "bias":
+        raise ValueError("missing bias marker")
+    return _parse_row(take("bias row"), rows)
+
+
+def _read_dense_layer(take):
+    # rows are read before anything is allocated, so a header the text
+    # cannot back fails as truncated instead of reserving rows x cols
+    rows, cols = _layer_header(take("layer header"), 2)
+    weight = [_parse_row(take("weight row"), cols) for _ in range(rows)]
+    return Layer(np.array(weight), _read_bias(take, rows))
+
+
+def _read_sparse_layer(take):
+    rows, cols, nnz = _layer_header(take("layer header"), 3)
+    counts = _parse_ints(take("row counts"), rows, "row counts")
+    if np.any(counts < 0) or int(counts.sum()) != nnz:
+        raise ValueError("row counts do not add up to %d nonzeros" % nnz)
+    indices = np.zeros(0, dtype=np.int64)
+    data = np.zeros(0)
+    if nnz:
+        indices = _parse_ints(take("column indices"), nnz, "column indices")
+        data = _parse_row(take("values"), nnz)
+    bias = _read_bias(take, rows)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    if nnz and (indices.min() < 0 or indices.max() >= cols):
+        raise ValueError("column index out of range")
+    row_start = np.zeros(nnz, dtype=bool)
+    row_start[indptr[:-1][counts > 0]] = True
+    if not np.all((np.diff(indices) > 0) | row_start[1:]):
+        raise ValueError("column indices must increase within a row")
+    if np.count_nonzero(data) < len(data):
+        raise ValueError("stored zero in network text")
+    return Layer(_csr(data, indices, indptr, (rows, cols)), bias)
+
+
+_LAYER_READERS = {"v1": _read_dense_layer, "v2": _read_sparse_layer}
 
 
 def network_to_text(net):
-    """Serialize to the flat structured-text format (bit-exact floats)."""
-    out = io.StringIO()
-    out.write("%s v%d\n" % (SERIAL_TAG, SERIAL_VERSION))
-    out.write("layers %d\n" % net.depth)
+    """Serialize to text format v2 (nonzeros only, bit-exact floats)."""
+    out = ["%s v%d" % (SERIAL_TAG, SERIAL_VERSION), "layers %d" % net.depth]
     for layer in net.layers:
-        rows, cols = layer.weight.shape
-        out.write("layer %d %d\n" % (rows, cols))
-        for r in range(rows):
-            out.write(_hex_row(layer.weight[r]) + "\n")
-        out.write("bias\n")
-        out.write(_hex_row(layer.bias) + "\n")
-    return out.getvalue()
+        out.append("layer %d %d %d" % (layer.shape + (len(layer.data),)))
+        out.append(_int_row(np.diff(layer.indptr)))
+        if len(layer.data):
+            out.append(_int_row(layer.indices))
+            out.append(_hex_row(layer.data))
+        out.append("bias")
+        out.append(_hex_row(layer.bias))
+    return "\n".join(out) + "\n"
 
 
 def network_from_text(text):
+    """Parse text format v2 or v1; malformed text raises ValueError."""
     lines = (ln for ln in text.splitlines() if ln.strip())
 
     def take(what):
@@ -243,25 +426,13 @@ def network_from_text(text):
     header = take("header").split()
     if len(header) != 2 or header[0] != SERIAL_TAG:
         raise ValueError("not a serialized network (bad header)")
-    if header[1] != "v%d" % SERIAL_VERSION:
+    read_layer = _LAYER_READERS.get(header[1])
+    if read_layer is None:
         raise ValueError("unsupported serialization version %r" % header[1])
     tag, count = take("layer count").split()
     if tag != "layers":
         raise ValueError("missing layer count")
-    n_layers = int(count)
-    layers = []
-    for _ in range(n_layers):
-        tag, rows, cols = take("layer header").split()
-        if tag != "layer":
-            raise ValueError("missing layer header")
-        rows, cols = int(rows), int(cols)
-        weight = np.empty((rows, cols))
-        for r in range(rows):
-            weight[r] = _parse_row(take("weight row"), cols)
-        if take("bias marker").strip() != "bias":
-            raise ValueError("missing bias marker")
-        bias = np.array(_parse_row(take("bias row"), rows))
-        layers.append(Layer(weight, bias))
+    layers = [read_layer(take) for _ in range(int(count))]
     if next(lines, None) is not None:
         raise ValueError("trailing data after the last layer")
     return Network(layers)

@@ -343,6 +343,8 @@ def unroll_value_net(
     inv = factor.inverse()
 
     mu_branch = _as_branch(mu_net, d, out_scale=h)
+    # reordering the input commutes with the per-step linear combination
+    sigma_branches = [_as_branch(net, d) for net in sigma_col_nets]
     expected_width = 2 * d + mu_net.dims[-2] + sum(
         net.dims[-2] for net in sigma_col_nets
     )
@@ -353,9 +355,7 @@ def unroll_value_net(
     for m in range(n_paths):
         psi = fold_affine(identity_net(d, 1), "post", inv)
         for n in range(n_steps):
-            sigma_branch = _as_branch(
-                diffusion_contract_net(sigma_col_nets, blocks[n][m]), d
-            )
+            sigma_branch = diffusion_contract_net(sigma_branches, blocks[n][m])
             u = [n * h]
             if action_schedule is not None:
                 u = list(u) + list(action_schedule(n))

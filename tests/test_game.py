@@ -214,11 +214,15 @@ def test_controlled_value_matches_brute_force():
             row.append(psi)
         w_nets.append(row)
     net = infsup_net(w_nets)
-    rng = np.random.default_rng(4)
-    for x in rng.uniform(0.0, 1.0, size=(20, d)):
+    xs = np.random.default_rng(4).uniform(0.0, 1.0, size=(20, d))
+    singles = []
+    for x in xs:
         want = brute_force_game_value(rec, grid, cost, budget, seed, x)
         got = realize(net, x)[0]
         assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
+        singles.append(got)
+    # a batch gives the bits of its points one at a time
+    assert np.array_equal(realize(net, xs)[:, 0], singles)
 
 
 def test_brute_force_batch_equals_single_points_one_simulation_per_pair(monkeypatch):

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stiffnet import (
     Layer,
@@ -181,3 +182,54 @@ def test_networks_are_immutable():
     net = identity_net(2, 2)
     with pytest.raises((ValueError, AttributeError)):
         net.layers[0].weight[0, 0] = 5.0
+
+
+def test_layer_stores_canonical_csr_and_a_dense_view():
+    w = np.array([[0.0, 2.0, -0.0], [1.0, 0.0, 3.0]])
+    layer = Layer(w, np.zeros(2))
+    assert layer.data.tolist() == [2.0, 1.0, 3.0]  # no stored zeros
+    assert layer.indices.tolist() == [1, 0, 2]  # sorted within each row
+    assert layer.indptr.tolist() == [0, 1, 3]
+    assert layer.csr.nnz == 3 and layer.csr.shape == (2, 3)
+    assert np.array_equal(layer.weight, w)
+    with pytest.raises(ValueError):
+        layer.data[0] = 5.0
+    # a sparse weight with duplicate and zero entries is summed and pruned
+    coo = sp.coo_array(([1.0, 2.0, 0.0], ([0, 0, 1], [2, 2, 0])), shape=(2, 3))
+    layer = Layer(coo, np.zeros(2))
+    assert np.array_equal(layer.weight, [[0.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
+    assert layer.indptr.tolist() == [0, 1, 1]
+
+
+def test_nnz_and_nbytes_count_what_is_stored():
+    net = Network(
+        [
+            Layer(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, -2.0]]), np.array([0.0, 0.5, 0.0])),
+            Layer(np.array([[0.0, 4.0, 0.0]]), np.zeros(1)),
+        ]
+    )
+    assert net.nnz == 2 + 1 + 1  # weight nonzeros plus nonzero biases
+    # 8-byte values, 4-byte indices and row pointers, 8-byte biases
+    assert net.nbytes == (2 * 12 + 4 * 4 + 3 * 8) + (1 * 12 + 2 * 4 + 1 * 8)
+    assert net.size == 3 * 3 + 1 * 4
+
+
+def test_text_is_version_2_and_lists_only_nonzeros():
+    net = Network([Layer(np.array([[0.0, 1.5], [0.0, 0.0]]), np.array([0.0, -1.0]))])
+    text = network_to_text(net)
+    assert text == (
+        "STIFFNET-NET v2\nlayers 1\nlayer 2 2 1\n1 0\n1\n0x1.8000000000000p+0\n"
+        "bias\n0x0.0p+0 -0x1.0000000000000p+0\n"
+    )
+
+
+@pytest.mark.parametrize("version", ["v1", "v2"])
+@pytest.mark.parametrize("dims", ["3000000000 1", "100000000 100000000"])
+def test_a_header_the_text_cannot_back_raises_value_error(version, dims):
+    # the counts alone would ask for 22 GiB (v1) or 71 PiB; nothing is allocated
+    extra = " 0" if version == "v2" else ""
+    text = "STIFFNET-NET %s\nlayers 1\nlayer %s%s\n" % (version, dims, extra)
+    with pytest.raises(ValueError):
+        network_from_text(text)
+    with pytest.raises(ValueError):
+        network_from_text(text + "0 1\n0x1.0p+0\nbias\n0x0.0p+0\n")

@@ -3,7 +3,7 @@ and every calculus construction against its pointwise formula."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -62,7 +62,10 @@ def _parses_or_value_error(text):
 @PROPERTY
 @given(networks())
 def test_text_round_trip_is_bit_exact(net):
-    back = network_from_text(network_to_text(net))
+    text = network_to_text(net)
+    back = network_from_text(text)
+    assert text.startswith("STIFFNET-NET v2\n")
+    assert network_to_text(back) == text  # one text per network
     assert back.dims == net.dims
     for a, b in zip(net.layers, back.layers):
         assert a.weight.tobytes() == b.weight.tobytes()
@@ -112,6 +115,108 @@ def test_text_with_a_non_finite_value_raises_value_error(net, data):
     lines[i] = " ".join(values)
     with pytest.raises(ValueError):
         network_from_text("\n".join(lines))
+
+
+def _nonzero_layer_heads(lines):
+    """Line numbers of the headers of layers that store nonzeros."""
+    heads, i = [], 2
+    while i < len(lines):
+        nnz = int(lines[i].split()[3])
+        if nnz:
+            heads.append(i)
+        # header, row counts, [columns, values,] bias marker, bias
+        i += 4 + 2 * (nnz > 0)
+    return heads
+
+
+V2_BREAKS = [
+    "column out of range",
+    "columns unsorted",
+    "column repeated",
+    "stored zero",
+    "nnz mismatch",
+    "row count mismatch",
+]
+
+
+@pytest.mark.parametrize("kind", V2_BREAKS)
+@PROPERTY
+@given(net=networks(elements=SMALL_FLOAT), data=st.data())
+def test_v2_text_breaking_the_csr_rules_raises_value_error(kind, net, data):
+    lines = network_to_text(net).splitlines()
+    heads = _nonzero_layer_heads(lines)
+    assume(heads)
+    head = data.draw(st.sampled_from(heads))
+    rows, cols, nnz = (int(v) for v in lines[head].split()[1:])
+    counts = [int(v) for v in lines[head + 1].split()]
+    columns = [int(v) for v in lines[head + 2].split()]
+    values = lines[head + 3].split()
+    starts = np.cumsum([0] + counts)
+    k = data.draw(st.integers(0, nnz - 1))
+    if kind == "column out of range":
+        columns[k] = data.draw(st.sampled_from([-1, cols]))
+    elif kind in ("columns unsorted", "column repeated"):
+        pairs = [i for r in range(rows) for i in range(starts[r], starts[r + 1] - 1)]
+        assume(pairs)
+        i = data.draw(st.sampled_from(pairs))
+        if kind == "columns unsorted":
+            columns[i], columns[i + 1] = columns[i + 1], columns[i]
+        else:
+            columns[i + 1] = columns[i]
+    elif kind == "stored zero":
+        values[k] = data.draw(st.sampled_from(["0x0.0p+0", "-0x0.0p+0"]))
+    elif kind == "nnz mismatch":
+        nnz += data.draw(st.sampled_from([-1, 1]))
+        lines[head] = "layer %d %d %d" % (rows, cols, nnz)
+    else:
+        counts[data.draw(st.integers(0, rows - 1))] += 1
+    lines[head + 1] = " ".join(map(str, counts))
+    lines[head + 2] = " ".join(map(str, columns))
+    lines[head + 3] = " ".join(values)
+    with pytest.raises(ValueError):
+        network_from_text("\n".join(lines))
+
+
+# written by the v1 writer, which stored every entry densely, one row a line
+V1_TEXT = """STIFFNET-NET v1
+layers 2
+layer 3 2
+0x1.0000000000000p+0 -0x1.8000000000000p-1
+0x0.0p+0 0x0.0p+0
+0x1.921fb54442d18p+1 -0x0.0p+0
+bias
+0x1.5555555555555p-2 -0x0.0p+0 0x0.0000000000001p-1022
+layer 1 3
+0x1.0000000000000p-1 0x0.0p+0 -0x1.0000000000000p+2
+bias
+0x1.0000000000000p+0
+"""
+
+
+def test_v1_text_still_loads_bit_for_bit():
+    net = network_from_text(V1_TEXT)
+    want = [
+        (np.array([[1.0, -0.75], [0.0, 0.0], [np.pi, 0.0]]), np.array([1 / 3, -0.0, 5e-324])),
+        (np.array([[0.5, 0.0, -4.0]]), np.array([1.0])),
+    ]
+    assert net.dims == (2, 3, 1)
+    for layer, (weight, bias) in zip(net.layers, want):
+        assert layer.weight.tobytes() == weight.tobytes()
+        assert layer.bias.tobytes() == bias.tobytes()
+    again = network_from_text(network_to_text(net))
+    for a, b in zip(net.layers, again.layers):
+        assert a.weight.tobytes() == b.weight.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+
+
+@PROPERTY
+@given(networks(elements=SMALL_FLOAT), st.data())
+def test_realize_batch_equals_single_points(net, data):
+    n_points = data.draw(st.integers(1, 6))
+    xs = data.draw(arrays(np.float64, (n_points, net.dim_in), elements=SMALL_FLOAT))
+    batch = realize(net, xs)
+    assert batch.shape == (n_points, net.dim_out)
+    assert batch.tobytes() == np.stack([realize(net, x) for x in xs]).tobytes()
 
 
 @PROPERTY

@@ -263,6 +263,29 @@ def test_unroll_deterministic_weights():
         assert np.array_equal(a.bias, b.bias)
 
 
+def test_unroll_memory_is_linear_in_paths():
+    # d=4, N=8, M=1024: the paper's size metric counts 3.4e9 parameters, so
+    # dense layers would hold 27 GB; the stored nonzeros grow linearly in M
+    d = 4
+    rec = make_ou(d, decay=0.5, noise=0.3)
+    cost = make_quadratic_cost(np.ones(d), 4, 1e-3)
+    coeffs = coefficients_from_nets(rec.mu_net, rec.sigma_col_nets)
+    xs = np.random.default_rng(0).uniform(0.0, 1.0, size=(3, d))
+    stored = []
+    for paths in (256, 512, 1024):
+        budget = _budget(8, paths)
+        psi, report = unroll_value_net(
+            rec.mu_net, rec.sigma_col_nets, cost.net, rec.system, budget, seed=5
+        )
+        assert report["bound_ok"]
+        stored.append(psi.nbytes)
+    assert 8 * psi.size > 25e9
+    assert stored[1] <= 2.1 * stored[0] and stored[2] <= 2.1 * stored[1]
+    want = mc_reference(rec.system, coeffs, cost, budget, 5, xs)
+    got = realize(psi, xs)[:, 0]
+    assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-11
+
+
 def test_mc_reference_constant_cost():
     d = 2
     rec = make_ou(d, decay=0.0, noise=0.0)
