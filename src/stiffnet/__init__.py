@@ -34,6 +34,7 @@ from .sde import (
     PerturbedCoefficients,
     StiffSystem,
     coupled_gap_check,
+    drawing_threads,
     exact_coefficients,
     moment_check,
     ou_exact_value,

@@ -48,7 +48,7 @@ from .game import (
     infsup_net,
 )
 from .network import Layer, Network, fold_affine, realize, save_network
-from .sde import exact_coefficients, rate_study, reference_steps
+from .sde import drawing_threads, exact_coefficients, rate_study, reference_steps
 from .synthesis import (
     SynthesisBudget,
     calibrate_cplan,
@@ -860,23 +860,25 @@ def build_parser():
         p.add_argument(
             "--threads",
             type=int,
-            default=1,
-            help="reserved: accepted for compatibility, runs are single-threaded",
+            help="threads that draw Brownian blocks ahead of the scheme; 1 draws "
+            "them inline (default: the CPUs this process may use); outputs do not "
+            "depend on it",
         )
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
+    if args.threads is not None and args.threads < 1:
         print("config error: --threads must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     try:
         expected = None if args.command == "verify" else args.command
         cfg = load_config(args.config, expected)
-        if args.command == "verify":
-            return run_verify(cfg, args.out)
-        _, ok = run_study(cfg, args.out)
+        with drawing_threads(args.threads):
+            if args.command == "verify":
+                return run_verify(cfg, args.out)
+            _, ok = run_study(cfg, args.out)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -21,10 +21,15 @@ exact ones is the "perturbed" variant; gamma = 0 recovers the exact scheme.
 Brownian increments come from a counter-based generator so the increment of
 path m at step n is a pure function of (seed, m, n): step n draws a block
 keyed by (seed, n) and path m reads row m.  Path sets are therefore
-identical no matter how work is scheduled.
+identical no matter how work is scheduled, which lets PathBundle.stream
+draw the blocks of a long run on worker threads ahead of the scheme.
 """
 
+import collections
+import contextlib
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,6 +40,7 @@ __all__ = [
     "StiffSystem",
     "EulerConfig",
     "PathBundle",
+    "drawing_threads",
     "PerturbedCoefficients",
     "exact_coefficients",
     "ValidationReport",
@@ -114,6 +120,38 @@ def step_floor(horizon, beta, eta):
     return horizon * max((2.0 * beta + r) / (r - 1.0), 1.0 / eta, 2.0 * eta, 2.0 / eta)
 
 
+# look-ahead of PathBundle.stream: blocks in the workers' hands beyond the
+# chunk the consumer holds, handed out _CHUNK at a time, so at most
+# _WINDOW // _CHUNK workers are ever busy and no more are started
+_WINDOW = 16
+_CHUNK = 4
+_threads = None  # set by drawing_threads; None means the CPUs this process may use
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def drawing_threads(threads):
+    """Within the block, streams draw on `threads` threads (1 draws inline).
+
+    None, and the default outside any such block, is the number of CPUs
+    this process may use.
+    """
+    global _threads
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be >= 1")
+    saved, _threads = _threads, threads
+    try:
+        yield
+    finally:
+        _threads = saved
+
+
 class PathBundle:
     """Seeded Brownian increments for M paths and N steps of size h.
 
@@ -129,13 +167,56 @@ class PathBundle:
         self.d = int(d)
         self.h = float(h)
 
-    def increments(self, n):
+    def increments(self, n, out=None):
+        """Step n's (M, d) block, written into `out` when one is given."""
         if not 0 <= n < self.n_steps:
             raise IndexError("step %d out of range" % n)
         key = np.array([self.seed, n], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        block = rng.standard_normal((self.n_paths, self.d))
-        return block * np.sqrt(self.h)
+        block = rng.standard_normal((self.n_paths, self.d), out=out)
+        return np.multiply(block, np.sqrt(self.h), out=block)
+
+    def stream(self, count):
+        """Yield the blocks of steps 0..count-1 in step order.
+
+        Each block is bit for bit increments(n).  With more than one
+        drawing thread (see drawing_threads), workers draw up to _WINDOW
+        blocks ahead of the consumer, _CHUNK blocks per task, into arrays
+        allocated here in the consuming thread; a stream that fits in the
+        window is drawn inline.  Closing the stream stops its workers, and
+        an error raised while drawing reaches the consumer.
+        """
+        threads = _threads or _usable_cpus()
+        workers = min(threads, _WINDOW // _CHUNK)
+        if workers < 2 or count <= _WINDOW:
+            for n in range(count):
+                yield self.increments(n)
+            return
+        pool = ThreadPoolExecutor(workers, thread_name_prefix="stiffnet-noise")
+        pending = collections.deque()
+
+        def submit(start):
+            stop = min(start + _CHUNK, count)
+            blocks = [np.empty((self.n_paths, self.d)) for _ in range(start, stop)]
+            pending.append((pool.submit(self._fill, start, blocks), blocks))
+
+        try:
+            for start in range(0, _WINDOW, _CHUNK):
+                submit(start)
+            ahead = _WINDOW
+            while pending:
+                future, blocks = pending.popleft()
+                future.result()
+                if ahead < count:
+                    submit(ahead)
+                    ahead += _CHUNK
+                yield from blocks
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    def _fill(self, start, blocks):
+        for n, out in enumerate(blocks, start):
+            self.increments(n, out=out)
 
 
 @dataclass(frozen=True)
@@ -275,7 +356,7 @@ def _trajectory(sys, coeffs, x0, cfg, bundle, noise=None):
 
     x0 is one start point (d,) or a batch (P, d); every start point steps
     on the bundle's M paths.  `noise` yields step n's (M, d) block; it
-    defaults to drawing the bundle's blocks in step order.
+    defaults to the bundle's stream.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim not in (1, 2) or x0.shape[-1] != sys.d:
@@ -283,7 +364,7 @@ def _trajectory(sys, coeffs, x0, cfg, bundle, noise=None):
     if bundle.n_steps < cfg.steps:
         raise ValueError("bundle has fewer steps than the configuration")
     if noise is None:
-        noise = (bundle.increments(n) for n in range(cfg.steps))
+        noise = bundle.stream(cfg.steps)
     factor = ImplicitFactor(sys.A, cfg.h)
     start = np.broadcast_to(x0[..., None, :], x0.shape[:-1] + (bundle.n_paths, sys.d))
     y = factor.solve(start.copy())
@@ -437,7 +518,7 @@ class _CoarseRun:
         self.factor = ImplicitFactor(A, cfg.h)
         self.grid = cfg.grid()
         self.y = self.factor.solve(start.copy())
-        self.db = None
+        self.db = np.empty(start.shape)
         self.err = _GridMax()
 
 
@@ -469,11 +550,13 @@ def rate_study(sys, coeffs, cost, x0, n_list, horizon, seed, n_paths, oracle=Non
     for run in runs:
         run.err.fold(np.sum((run.y - y_ref) ** 2, axis=1))
 
-    for j in range(n_ref):
-        db = fine.increments(j)
+    for j, db in enumerate(fine.stream(n_ref)):
         y_ref = step_pes(ref_factor, ref_coeffs, y_ref, ref_grid[j], db)
         for run in runs:
-            run.db = db if j % run.stride == 0 else run.db + db
+            if j % run.stride == 0:
+                np.copyto(run.db, db)
+            else:
+                np.add(run.db, db, out=run.db)
             if (j + 1) % run.stride == 0:
                 k = j // run.stride
                 run.y = step_pes(run.factor, coeffs, run.y, run.grid[k], run.db)
@@ -517,7 +600,7 @@ def coupled_gap_check(sys, coeffs, x0, cfg, bundle):
     """
     gap = _GridMax()
     # the two runs share each block, drawn once
-    noise = itertools.tee(bundle.increments(n) for n in range(cfg.steps))
+    noise = itertools.tee(bundle.stream(cfg.steps))
     exact = _trajectory(sys, exact_coefficients(sys), x0, cfg, bundle, noise[0])
     perturbed = _trajectory(sys, coeffs, x0, cfg, bundle, noise[1])
     for y, y_pert in zip(exact, perturbed):

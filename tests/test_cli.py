@@ -3,9 +3,11 @@
 import csv
 import json
 import os
+import threading
 
 import pytest
 
+from stiffnet import PathBundle
 from stiffnet.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -15,6 +17,7 @@ from stiffnet.cli import (
     main,
     resolve_seed,
 )
+from stiffnet.sde import _WINDOW
 
 
 def _write_config(tmp_path, cfg, name="cfg.json"):
@@ -299,3 +302,33 @@ def test_csv_floats_use_17_significant_digits(tmp_path):
         rows = list(csv.DictReader(fh))
     val = rows[0]["agreement_err"]
     assert float(val) == float(repr(float(val)))  # round-trips exactly
+
+
+def test_convergence_artifacts_do_not_depend_on_threads(tmp_path, monkeypatch):
+    cfg = {"study": "convergence", "system": "ou", "d": 2, "paths": 64,
+           "params": {"noise": 0.5, "sigma_kind": "diag"}, "n_list": [2, 4], "seed": 8}
+    path = _write_config(tmp_path, cfg)
+    alive = []
+    increments = PathBundle.increments
+
+    def watched(self, n, out=None):
+        alive.append(threading.active_count())
+        return increments(self, n, out)
+
+    monkeypatch.setattr(PathBundle, "increments", watched)
+    runs = []
+    for flag in (["--threads", "1"], [], ["--threads", "64"]):
+        out = str(tmp_path / ("out%d" % len(runs)))
+        before = threading.active_count()
+        alive.clear()
+        code = main(["convergence", "--config", path, "--out", out] + flag)
+        with open(os.path.join(out, "convergence.csv")) as fh:
+            csv_text = fh.read()
+        manifest = _read_manifest(out)
+        del manifest["wall_ms"]
+        runs.append((code, csv_text, manifest))
+    assert runs[0] == runs[1] == runs[2]
+    # the --threads 64 run drew on workers, never more than the window holds
+    assert before < max(alive) <= _WINDOW
+    out = str(tmp_path / "zero")
+    assert main(["convergence", "--config", path, "--out", out, "--threads", "0"]) == EXIT_CONFIG

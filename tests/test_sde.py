@@ -1,5 +1,8 @@
 """Linear-implicit scheme engine: stability, determinism, statistical bounds."""
 
+import threading
+from sys import getswitchinterval, setswitchinterval
+
 import numpy as np
 import pytest
 
@@ -21,9 +24,11 @@ from stiffnet import (
     validate_system,
 )
 from stiffnet.sde import (
+    _WINDOW,
     ImplicitFactor,
     alpha_one,
     alpha_p,
+    drawing_threads,
     fit_loglog_slope,
     gap_bound,
     moment_bound,
@@ -177,16 +182,13 @@ def test_simulate_zero_noise_recursion():
     A = np.diag([2.0, 5.0])
     sys = _zero_system(2, A=A)
     cfg = EulerConfig(1.0, 4)
-    bundle = PathBundle(4, 3, 4, 2, cfg.h)
 
-    class ZeroBundle:
-        n_paths, n_steps, seed, h = bundle.n_paths, bundle.n_steps, bundle.seed, bundle.h
-
-        def increments(self, n):
+    class ZeroBundle(PathBundle):
+        def increments(self, n, out=None):
             return np.zeros((3, 2))
 
     x0 = np.array([1.0, 1.0])
-    end = simulate(sys, exact_coefficients(sys), x0, cfg, ZeroBundle())
+    end = simulate(sys, exact_coefficients(sys), x0, cfg, ZeroBundle(4, 3, 4, 2, cfg.h))
     want = x0 / (1.0 + cfg.h * np.diag(A)) ** 5
     assert np.max(np.abs(end - want)) <= 1e-12
 
@@ -272,9 +274,9 @@ def _count_draws(monkeypatch):
     draws = []
     increments = PathBundle.increments
 
-    def counted(self, n):
+    def counted(self, n, out=None):
         draws.append(n)
-        return increments(self, n)
+        return increments(self, n, out)
 
     monkeypatch.setattr(PathBundle, "increments", counted)
     return draws
@@ -295,6 +297,82 @@ def test_increment_statistics():
     db = b.increments(1)
     assert abs(np.mean(db)) < 0.01
     assert abs(np.var(db) - 0.25) < 0.01
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("m, d, count", [(1, 1, 3 * _WINDOW + 1), (7, 3, 5), (64, 8, 4 * _WINDOW)])
+def test_stream_is_increments_bit_for_bit(threads, m, d, count):
+    bundle = PathBundle(11, m, count, d, 0.01)
+    before = threading.active_count()
+    alive = []
+    with drawing_threads(threads):
+        for n, block in enumerate(bundle.stream(count)):
+            alive.append(threading.active_count())
+            assert block.shape == (m, d)
+            assert block.tobytes() == bundle.increments(n).tobytes()
+    assert n == count - 1
+    # a long stream draws on workers, no more than the window holds; a short
+    # or inline one starts none
+    if threads > 1 and count > _WINDOW:
+        assert before < max(alive) <= before + min(threads, _WINDOW)
+    else:
+        assert max(alive) == before
+
+
+def test_stream_keeps_order_and_bits_under_fast_thread_switching():
+    bundle = PathBundle(16, 32, 8 * _WINDOW, 4, 0.01)
+    switch = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        with drawing_threads(8):
+            got = [block.tobytes() for block in bundle.stream(8 * _WINDOW)]
+    finally:
+        setswitchinterval(switch)
+    assert got == [bundle.increments(n).tobytes() for n in range(8 * _WINDOW)]
+
+
+def test_stream_out_buffer_gives_the_same_bits():
+    bundle = PathBundle(12, 2048, 4, 8, 0.25)
+    out = np.empty((2048, 8))
+    assert bundle.increments(3, out=out) is out
+    assert out.tobytes() == bundle.increments(3).tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, _WINDOW + 3])
+def test_closed_stream_leaves_no_live_thread(k):
+    before = threading.active_count()
+    with drawing_threads(2):
+        stream = PathBundle(13, 16, 4 * _WINDOW, 2, 0.1).stream(4 * _WINDOW)
+        for _ in range(k):
+            next(stream)
+        assert (threading.active_count() > before) == (k > 0)
+        stream.close()
+    assert threading.active_count() == before
+
+
+def test_stream_raises_the_drawing_error_without_hanging():
+    bad = 2 * _WINDOW + 1
+
+    class Faulty(PathBundle):
+        def increments(self, n, out=None):
+            if n == bad:
+                raise ZeroDivisionError("block %d" % n)
+            return super().increments(n, out)
+
+    before = threading.active_count()
+    got = []
+    with drawing_threads(2), pytest.raises(ZeroDivisionError, match="block %d" % bad):
+        for block in Faulty(14, 8, 4 * _WINDOW, 2, 0.1).stream(4 * _WINDOW):
+            got.append(block)
+    assert len(got) <= bad
+    assert threading.active_count() == before
+
+
+def test_stream_past_the_last_step_raises():
+    bundle = PathBundle(15, 4, 2 * _WINDOW, 2, 0.1)
+    for threads in (1, 2):
+        with drawing_threads(threads), pytest.raises(IndexError):
+            list(bundle.stream(2 * _WINDOW + 1))
 
 
 # -------------------------------------------------------------- OU oracle
@@ -526,17 +604,41 @@ def test_rate_study_brownian_coarse_sums_match_reference():
 def test_rate_study_draws_each_fine_block_once(monkeypatch):
     draws = _count_draws(monkeypatch)
     rec = make_ou(2, decay=0.5, noise=0.3)
-    rate_study(
-        rec.system,
-        exact_coefficients(rec.system),
-        _strong_cost(2),
-        np.ones(2),
-        [8, 16],
-        1.0,
-        3,
-        8,
-    )
-    assert draws == list(range(64 * 16))
+    for threads in (1, 2):
+        draws.clear()
+        with drawing_threads(threads):
+            rate_study(
+                rec.system,
+                exact_coefficients(rec.system),
+                _strong_cost(2),
+                np.ones(2),
+                [8, 16],
+                1.0,
+                3,
+                8,
+            )
+        # inline, blocks are drawn in step order; workers draw them side by side
+        assert (draws if threads == 1 else sorted(draws)) == list(range(64 * 16))
+
+
+def test_rate_study_rows_do_not_depend_on_the_thread_count():
+    rec = make_ou(3, decay=0.5, noise=0.4, sigma_kind="diag")
+    studies = []
+    for threads in (1, 2):
+        with drawing_threads(threads):
+            studies.append(
+                rate_study(
+                    rec.system,
+                    exact_coefficients(rec.system),
+                    _strong_cost(3),
+                    np.ones(3),
+                    [4, 8, 16],
+                    1.0,
+                    5,
+                    32,
+                )
+            )
+    assert studies[0] == studies[1]
 
 
 def test_rate_study_rejects_step_count_off_the_reference_grid(monkeypatch):
@@ -592,8 +694,11 @@ def test_gap_check_draws_each_block_once(monkeypatch):
     cfg = EulerConfig(1.0, 32)
     bundle = PathBundle(10, 64, 32, 2, cfg.h)
     coeffs = perturb_coefficients(rec.system, 0.01)
-    coupled_gap_check(rec.system, coeffs, np.ones(2), cfg, bundle)
-    assert draws == list(range(32))
+    for threads in (1, 2):
+        draws.clear()
+        with drawing_threads(threads):
+            coupled_gap_check(rec.system, coeffs, np.ones(2), cfg, bundle)
+        assert (draws if threads == 1 else sorted(draws)) == list(range(32))
 
 
 def test_gap_bound_formula():
