@@ -47,7 +47,6 @@ from .synthesis import (
     Measure,
     SynthesisBudget,
     calibrate_cplan,
-    diffusion_contract_net,
     l2_error,
     mc_reference,
     plan_budget,

@@ -224,7 +224,7 @@ def combine(coeffs, nets):
     _require_same_arch(nets, "combine")
     depth = nets[0].depth
     if depth == 1:
-        w = sum(c * n.layers[0].csr for c, n in zip(coeffs, nets))
+        w = sum(c * _dense(n.layers[0]) for c, n in zip(coeffs, nets))
         b = sum(c * n.layers[0].bias for c, n in zip(coeffs, nets))
         return Network([Layer(w, b)])
     layers = [_stacked([n.layers[0] for n in nets])]
@@ -249,14 +249,16 @@ def _split_branch_first(branch, d):
     return w[:, :d], w[:, d:]
 
 
-def add_compose(base, branches, u):
-    """Network realizing x -> base(x) + sum_m branch_m(base(x), u).
+def add_compose(base, branches, u, coeffs=None):
+    """Network realizing x -> base(x) + sum_m c_m * branch_m(base(x), u).
 
     base maps R^d -> R^d; every branch maps R^(d+d') -> R^d at one common
     depth L'; u in R^(d') is frozen into biases, so the architecture of the
-    result does not depend on u.  Resulting depth is L_base + L' - 1.  The
-    base value is carried past the branch layers as a (relu, relu-of-minus)
-    pair, giving last hidden width 2d + sum_m N^m_(L'-1) when L' >= 2.
+    result does not depend on u.  The weights c_m (all ones when coeffs is
+    None) scale only the output layer, so the architecture does not depend
+    on them either.  Resulting depth is L_base + L' - 1.  The base value is
+    carried past the branch layers as a (relu, relu-of-minus) pair, giving
+    last hidden width 2d + sum_m N^m_(L'-1) when L' >= 2.
     """
     d = base.dim_out
     if base.dim_in != d:
@@ -264,6 +266,9 @@ def add_compose(base, branches, u):
     branches = list(branches)
     if not branches:
         raise ValueError("add_compose needs at least one branch")
+    coeffs = [1.0] * len(branches) if coeffs is None else [float(c) for c in coeffs]
+    if len(coeffs) != len(branches):
+        raise ValueError("add_compose: need one coefficient per branch")
     depth_b = branches[0].depth
     for br in branches:
         if br.depth != depth_b:
@@ -288,10 +293,10 @@ def add_compose(base, branches, u):
     if depth_b == 1:
         gain = np.eye(d)
         shift = np.zeros(d)
-        for br in branches:
+        for c, br in zip(coeffs, branches):
             wx, wu = _split_branch_first(br, d)
-            gain = gain + wx
-            shift = shift + wu @ u + br.layers[0].bias
+            gain = gain + c * wx
+            shift = shift + c * wu @ u + c * br.layers[0].bias
         return Network(head + [Layer(gain @ w_last, gain @ b_last + shift)])
 
     seam_w, seam_b = [w_last, -w_last], [b_last, -b_last]
@@ -306,10 +311,10 @@ def add_compose(base, branches, u):
         for j in range(1, depth_b - 1):
             layers.append(_side_by_side([carry] + [br.layers[j] for br in branches]))
 
-    # the carried base value re-enters the sum with a zero bias
+    # the carried base value re-enters the sum with weight 1 and a zero bias
     out = [Layer(_merge(d), np.zeros(d))]
     out += [br.layers[-1] for br in branches]
-    layers.append(_summed([1.0] * len(out), out))
+    layers.append(_summed([1.0] + coeffs, out))
     return Network(layers)
 
 

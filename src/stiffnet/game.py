@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .calculus import max_tree, min_tree, pad_to_pow2
+from .network import fold_affine
 from .sde import PerturbedCoefficients
 from .synthesis import coefficients_from_nets, mc_reference, unroll_value_net
 
@@ -119,7 +120,6 @@ def controlled_value_net(strat1, strat2, recipe, cost, budget, seed, grid):
     the chosen strategies.
     """
     grid.check_on_grid(budget.horizon, budget.steps)
-    shift = _control_cost(grid, strat1, strat2)
     psi, report = unroll_value_net(
         recipe.mu_net,
         recipe.sigma_col_nets,
@@ -128,8 +128,11 @@ def controlled_value_net(strat1, strat2, recipe, cost, budget, seed, grid):
         budget,
         seed,
         action_schedule=_schedule(grid, budget, strat1, strat2),
-        output_shift=shift,
     )
+    shift = _control_cost(grid, strat1, strat2)
+    # a zero cost leaves the output bias untouched
+    if shift:
+        psi = fold_affine(psi, "post", np.eye(psi.dim_out), np.full(psi.dim_out, shift))
     return psi, report
 
 

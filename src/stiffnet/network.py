@@ -93,15 +93,9 @@ def _dense(w):
 
 
 def _as_csr(weight):
-    """Canonical read-only CSR arrays of a dense or sparse matrix."""
+    """Canonical read-only CSR arrays of a dense matrix; CSR arrays pass through."""
     if isinstance(weight, _Csr):
         return weight
-    if sp.issparse(weight):
-        if weight.ndim != 2:
-            raise NetworkShapeError("layer weight must be a matrix, got ndim=%d" % weight.ndim)
-        w = sp.csr_array(weight, dtype=np.float64, copy=True)
-        w.sum_duplicates()
-        return _csr(w.data, w.indices, w.indptr, w.shape)
     weight = np.asarray(weight, dtype=np.float64)
     if weight.ndim != 2:
         raise NetworkShapeError("layer weight must be a matrix, got ndim=%d" % weight.ndim)
@@ -302,19 +296,18 @@ def fold_affine(net, side, mat, vec=None):
 
 # --- text format ---------------------------------------------------------
 #
-# v2 (written):                         v1 (still read):
-#   STIFFNET-NET v2                       STIFFNET-NET v1
-#   layers <L>                            layers <L>
-#   per layer:                            per layer:
-#     layer <rows> <cols> <nnz>             layer <rows> <cols>
-#     <nonzeros in each row: rows ints>     <rows lines of cols hex values>
-#     <column indices: nnz ints>            bias
-#     <values: nnz hex floats>              <rows hex values>
+#   STIFFNET-NET v2
+#   layers <L>
+#   per layer:
+#     layer <rows> <cols> <nnz>
+#     <nonzeros in each row: rows ints>
+#     <column indices: nnz ints>
+#     <values: nnz hex floats>
 #     bias
 #     <rows hex floats>
 #
-# In v2 the index and value lines are absent when nnz is 0; columns
-# increase within a row and no value is zero, so each network has one text.
+# The index and value lines are absent when nnz is 0; columns increase
+# within a row and no value is zero, so each network has one text.
 
 
 def _hex_row(values):
@@ -349,32 +342,18 @@ def _parse_ints(line, expected, what):
         raise ValueError("%s out of range in network text" % what) from None
 
 
-def _layer_header(line, n_fields):
+def _layer_header(line):
     tag, *fields = line.split()
-    if tag != "layer" or len(fields) != n_fields:
+    if tag != "layer" or len(fields) != 3:
         raise ValueError("missing layer header")
-    fields = [int(v) for v in fields]
-    if not all(1 <= v < 2**63 for v in fields[:2]) or any(v < 0 for v in fields[2:]):
+    rows, cols, nnz = (int(v) for v in fields)
+    if not (1 <= rows < 2**63 and 1 <= cols < 2**63 and nnz >= 0):
         raise ValueError("bad layer header %r" % line)
-    return fields
+    return rows, cols, nnz
 
 
-def _read_bias(take, rows):
-    if take("bias marker").strip() != "bias":
-        raise ValueError("missing bias marker")
-    return _parse_row(take("bias row"), rows)
-
-
-def _read_dense_layer(take):
-    # rows are read before anything is allocated, so a header the text
-    # cannot back fails as truncated instead of reserving rows x cols
-    rows, cols = _layer_header(take("layer header"), 2)
-    weight = [_parse_row(take("weight row"), cols) for _ in range(rows)]
-    return Layer(np.array(weight), _read_bias(take, rows))
-
-
-def _read_sparse_layer(take):
-    rows, cols, nnz = _layer_header(take("layer header"), 3)
+def _read_layer(take):
+    rows, cols, nnz = _layer_header(take("layer header"))
     counts = _parse_ints(take("row counts"), rows, "row counts")
     if np.any(counts < 0) or int(counts.sum()) != nnz:
         raise ValueError("row counts do not add up to %d nonzeros" % nnz)
@@ -383,7 +362,9 @@ def _read_sparse_layer(take):
     if nnz:
         indices = _parse_ints(take("column indices"), nnz, "column indices")
         data = _parse_row(take("values"), nnz)
-    bias = _read_bias(take, rows)
+    if take("bias marker").strip() != "bias":
+        raise ValueError("missing bias marker")
+    bias = _parse_row(take("bias row"), rows)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     if nnz and (indices.min() < 0 or indices.max() >= cols):
         raise ValueError("column index out of range")
@@ -394,9 +375,6 @@ def _read_sparse_layer(take):
     if np.count_nonzero(data) < len(data):
         raise ValueError("stored zero in network text")
     return Layer(_csr(data, indices, indptr, (rows, cols)), bias)
-
-
-_LAYER_READERS = {"v1": _read_dense_layer, "v2": _read_sparse_layer}
 
 
 def network_to_text(net):
@@ -414,7 +392,7 @@ def network_to_text(net):
 
 
 def network_from_text(text):
-    """Parse text format v2 or v1; malformed text raises ValueError."""
+    """Parse text format v2; malformed text raises ValueError."""
     lines = (ln for ln in text.splitlines() if ln.strip())
 
     def take(what):
@@ -426,13 +404,12 @@ def network_from_text(text):
     header = take("header").split()
     if len(header) != 2 or header[0] != SERIAL_TAG:
         raise ValueError("not a serialized network (bad header)")
-    read_layer = _LAYER_READERS.get(header[1])
-    if read_layer is None:
+    if header[1] != "v%d" % SERIAL_VERSION:
         raise ValueError("unsupported serialization version %r" % header[1])
     tag, count = take("layer count").split()
     if tag != "layers":
         raise ValueError("missing layer count")
-    layers = [read_layer(take) for _ in range(int(count))]
+    layers = [_read_layer(take) for _ in range(int(count))]
     if next(lines, None) is not None:
         raise ValueError("trailing data after the last layer")
     return Network(layers)

@@ -47,7 +47,6 @@ __all__ = [
     "cplan_floor",
     "calibrate_cplan",
     "BudgetError",
-    "diffusion_contract_net",
     "coefficients_from_nets",
     "unroll_value_net",
     "unroll_size_bound",
@@ -254,26 +253,12 @@ def plan_cost(d, budget, kappa, beta_weights=None):
     return make_quadratic_cost(beta_weights, radius, eps_cost)
 
 
-def diffusion_contract_net(sigma_col_nets, b):
-    """Network realizing (t, x) -> sigma(t, x) b for a fixed vector b.
-
-    The product of the matrix with b is the b-weighted sum of the columns,
-    so this is a linear combination of the (same-architecture) column
-    networks; size <= d^2 C(column).
-    """
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if len(b) != len(sigma_col_nets):
-        raise ValueError("need one coefficient per column network")
-    return combine(b, sigma_col_nets)
-
-
 def coefficients_from_nets(mu_net, sigma_col_nets, gamma=0.0, extra=None):
     """Drift and noise callables evaluating the coefficient networks.
 
     The networks take (t, x) (optionally followed by a fixed action vector
     `extra`); the callables take (t, x) with x batched over paths.  The
-    noise sum_j col_j(t, x) db_j is summed left to right, the sum
-    diffusion_contract_net builds into the unrolled network.
+    noise sum_j col_j(t, x) db_j is summed left to right.
     """
 
     def augment(t, x):
@@ -293,20 +278,16 @@ def coefficients_from_nets(mu_net, sigma_col_nets, gamma=0.0, extra=None):
     return PerturbedCoefficients(mu=mu, noise=noise, gamma=gamma)
 
 
-def _as_branch(coeff_net, d, out_scale=None):
+def _as_branch(coeff_net, d):
     """Reorder a coefficient net's (t, x[, u]) input to (x, t[, u]).
 
     The unrolling binds everything after the state to constants, so the
-    time (and action) columns are moved behind the state block; optionally
-    the output is rescaled (used for the h * drift branch).
+    time (and action) columns are moved behind the state block.
     """
     n_in = coeff_net.dim_in
     # input k of the net reads entry order[k] of (x, t[, u])
     order = [d] + list(range(d)) + list(range(d + 1, n_in))
-    net = fold_affine(coeff_net, "pre", np.eye(n_in)[order])
-    if out_scale is not None:
-        net = fold_affine(net, "post", out_scale * np.eye(coeff_net.dim_out))
-    return net
+    return fold_affine(coeff_net, "pre", np.eye(n_in)[order])
 
 
 def unroll_value_net(
@@ -317,19 +298,17 @@ def unroll_value_net(
     budget,
     seed,
     action_schedule=None,
-    output_shift=0.0,
 ):
     """Build the single network realizing the fixed-noise MC value estimate.
 
     Per path: start from the implicit projection of the identity, and for
-    each step add-compose the current state network with the (scaled) drift
-    branch and the noise-contracted diffusion branch, then post-fold
-    (I+hA)^{-1}.  Compose with the cost network, then average the paths
-    with one linear combination.
+    each step add-compose the current state network with the drift branch
+    weighted by h and the diffusion column branches weighted by the noise
+    block, then post-fold (I+hA)^{-1}.  Compose with the cost network, then
+    average the paths with one linear combination.
 
     `action_schedule`, when given, maps a step index to the action vector
     appended to (t_n) as branch constants (the controlled variant).
-    `output_shift` is added to the final output bias.
 
     Returns (network, report); the report carries the size, the conservative
     size bound, and the last-hidden-width audit of every unroll step.
@@ -342,9 +321,7 @@ def unroll_value_net(
     factor = ImplicitFactor(sys.A, h)
     inv = factor.inverse()
 
-    mu_branch = _as_branch(mu_net, d, out_scale=h)
-    # reordering the input commutes with the per-step linear combination
-    sigma_branches = [_as_branch(net, d) for net in sigma_col_nets]
+    branches = [_as_branch(net, d) for net in [mu_net] + list(sigma_col_nets)]
     expected_width = 2 * d + mu_net.dims[-2] + sum(
         net.dims[-2] for net in sigma_col_nets
     )
@@ -355,21 +332,17 @@ def unroll_value_net(
     for m in range(n_paths):
         psi = fold_affine(identity_net(d, 1), "post", inv)
         for n in range(n_steps):
-            sigma_branch = diffusion_contract_net(sigma_branches, blocks[n][m])
             u = [n * h]
             if action_schedule is not None:
                 u = list(u) + list(action_schedule(n))
-            psi = add_compose(psi, [mu_branch, sigma_branch], u)
+            # one scheme step: psi + h mu(t_n, psi) + sum_j db_j sigma_j(t_n, psi)
+            psi = add_compose(psi, branches, u, [h] + list(blocks[n][m]))
             if psi.dims[-2] != expected_width:
                 width_ok = False
             psi = fold_affine(psi, "post", inv)
         path_nets.append(compose(cost_net, psi))
 
     psi_all = combine([1.0 / n_paths] * n_paths, path_nets)
-    if output_shift:
-        psi_all = fold_affine(
-            psi_all, "post", np.eye(psi_all.dim_out), np.full(psi_all.dim_out, output_shift)
-        )
 
     bound = unroll_size_bound(
         d, n_steps, n_paths, cost_net.size, [net.size for net in sigma_col_nets]

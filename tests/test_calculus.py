@@ -263,12 +263,32 @@ def test_add_compose_exactness_depth_one_and_deeper():
         ) + (d,)
         branches = [_random_net(rng, dims) for _ in range(2)]
         u = rng.normal(size=du)
-        net = add_compose(base, branches, u)
         xs = rng.normal(size=(300, d))
         mid = realize(base, xs)
         aug = np.concatenate([mid, np.broadcast_to(u, xs.shape[:-1] + (du,))], axis=-1)
-        want = mid + sum(realize(b, aug) for b in branches)
-        _assert_exact(realize(net, xs), want)
+        for coeffs in (None, [rng.normal(), 0.0]):
+            net = add_compose(base, branches, u, coeffs)
+            weights = [1.0] * len(branches) if coeffs is None else coeffs
+            want = mid + sum(c * realize(b, aug) for c, b in zip(weights, branches))
+            _assert_exact(realize(net, xs), want)
+
+
+def test_add_compose_default_weights_are_ones_and_leave_the_size():
+    rng = np.random.default_rng(19)
+    d = 2
+    base = _random_net(rng, (d, 4, d))
+    for dims in ((d + 1, d), (d + 1, 3, d), (d + 1, 3, 2, d)):
+        branches = [_random_net(rng, dims) for _ in range(3)]
+        u = rng.normal(size=1)
+        plain = add_compose(base, branches, u)
+        ones = add_compose(base, branches, u, [1.0, 1.0, 1.0])
+        weighted = add_compose(base, branches, u, [0.5, 0.0, -3.0])
+        for a, b in zip(plain.layers, ones.layers):
+            assert a.weight.tobytes() == b.weight.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
+        assert weighted.dims == plain.dims and weighted.size == plain.size
+        with pytest.raises(ValueError):
+            add_compose(base, branches, u, [1.0, 1.0])
 
 
 def test_add_compose_size_bound():

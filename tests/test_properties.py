@@ -177,38 +177,6 @@ def test_v2_text_breaking_the_csr_rules_raises_value_error(kind, net, data):
         network_from_text("\n".join(lines))
 
 
-# written by the v1 writer, which stored every entry densely, one row a line
-V1_TEXT = """STIFFNET-NET v1
-layers 2
-layer 3 2
-0x1.0000000000000p+0 -0x1.8000000000000p-1
-0x0.0p+0 0x0.0p+0
-0x1.921fb54442d18p+1 -0x0.0p+0
-bias
-0x1.5555555555555p-2 -0x0.0p+0 0x0.0000000000001p-1022
-layer 1 3
-0x1.0000000000000p-1 0x0.0p+0 -0x1.0000000000000p+2
-bias
-0x1.0000000000000p+0
-"""
-
-
-def test_v1_text_still_loads_bit_for_bit():
-    net = network_from_text(V1_TEXT)
-    want = [
-        (np.array([[1.0, -0.75], [0.0, 0.0], [np.pi, 0.0]]), np.array([1 / 3, -0.0, 5e-324])),
-        (np.array([[0.5, 0.0, -4.0]]), np.array([1.0])),
-    ]
-    assert net.dims == (2, 3, 1)
-    for layer, (weight, bias) in zip(net.layers, want):
-        assert layer.weight.tobytes() == weight.tobytes()
-        assert layer.bias.tobytes() == bias.tobytes()
-    again = network_from_text(network_to_text(net))
-    for a, b in zip(net.layers, again.layers):
-        assert a.weight.tobytes() == b.weight.tobytes()
-        assert a.bias.tobytes() == b.bias.tobytes()
-
-
 @PROPERTY
 @given(networks(elements=SMALL_FLOAT), st.data())
 def test_realize_batch_equals_single_points(net, data):
@@ -283,11 +251,12 @@ def test_add_compose_adds_the_branches(branch_depth, data):
     n_branches = data.draw(st.integers(1, 3))
     branches = [_net_of(data.draw, [d + d_aux] + hidden + [d]) for _ in range(n_branches)]
     u = data.draw(arrays(np.float64, (d_aux,), elements=SMALL_FLOAT))
+    coeffs = data.draw(st.lists(SMALL_FLOAT, min_size=n_branches, max_size=n_branches))
     xs = _inputs(data, d)
     mid = realize(base, xs)
     zu = np.concatenate([mid, np.broadcast_to(u, mid.shape[:-1] + (d_aux,))], axis=-1)
-    want = mid + sum(realize(br, zu) for br in branches)
-    net = add_compose(base, branches, u)
+    want = mid + sum(c * realize(br, zu) for c, br in zip(coeffs, branches))
+    net = add_compose(base, branches, u, coeffs)
     assert net.depth == base.depth + branch_depth - 1
     _assert_close(realize(net, xs), want)
 

@@ -7,7 +7,8 @@ from stiffnet import (
     Layer,
     Network,
     SynthesisBudget,
-    diffusion_contract_net,
+    add_compose,
+    identity_net,
     l2_error,
     make_galerkin_heat,
     make_ou,
@@ -21,6 +22,7 @@ from stiffnet import (
 )
 from stiffnet.synthesis import (
     BudgetError,
+    _as_branch,
     calibrate_cplan,
     coefficients_from_nets,
     cplan_floor,
@@ -113,6 +115,12 @@ def test_uniform_cube_measure_moment_certificate():
 # ------------------------------------------------------- diffusion contract
 
 
+def _noise_step(cols, t, b):
+    """x -> x + sum_j b_j col_j(t, x): the unroll step's diffusion part."""
+    d = len(cols)
+    return add_compose(identity_net(d, 1), [_as_branch(c, d) for c in cols], [t], b)
+
+
 def test_diffusion_contract_identity_sigma():
     d = 2
     cols = []
@@ -122,23 +130,23 @@ def test_diffusion_contract_identity_sigma():
         cols.append(Network([Layer(w1, np.zeros(1)), Layer(np.zeros((d, 1)), col)]))
     noise = coefficients_from_nets(cols[0], cols).noise
     t, x = 0.3, np.array([1.0, -1.0])
+    sizes = set()
     for b in (np.array([1.0, 2.0]), np.zeros(d)):
-        net = diffusion_contract_net(cols, b)
-        out = realize(net, np.concatenate([[t], x]))
-        assert np.array_equal(out, noise(t, x, b))
-        assert np.array_equal(out, b)
-        assert net.size <= d * d * cols[0].size
+        net = _noise_step(cols, t, b)
+        out = realize(net, x)
+        assert np.array_equal(out, x + noise(t, x, b))
+        assert np.array_equal(out, x + b)
+        sizes.add(net.size)
+    assert len(sizes) == 1  # the noise block moves values, not the architecture
 
 
 def test_diffusion_contract_matches_matvec():
     rec = make_galerkin_heat(3, noise_scale=0.4, sigma_kind="diag")
     rng = np.random.default_rng(1)
-    b = rng.normal(size=3)
-    net = diffusion_contract_net(rec.sigma_col_nets, b)
     for _ in range(100):
-        t, x = rng.uniform(), rng.normal(size=3)
-        want = rec.system.noise(t, x, b)
-        got = realize(net, np.concatenate([[t], x]))
+        t, x, b = rng.uniform(), rng.normal(size=3), rng.normal(size=3)
+        want = x + rec.system.noise(t, x, b)
+        got = realize(_noise_step(rec.sigma_col_nets, t, b), x)
         assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
 
 
@@ -228,6 +236,30 @@ def test_unroll_draws_each_block_once(monkeypatch):
     cost = make_quadratic_cost(np.ones(2), budget.radius, 1e-3)
     unroll_value_net(rec.mu_net, rec.sigma_col_nets, cost.net, rec.system, budget, 7)
     assert draws == [0, 1, 2, 3]
+
+
+def test_unroll_is_one_weighted_add_compose_per_step(monkeypatch):
+    from stiffnet import synthesis
+
+    calls = {"add_compose": 0, "combine": 0}
+
+    def counted(name):
+        fn = getattr(synthesis, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(synthesis, name, counted(name))
+    rec = make_ou(2, decay=0.5, noise=0.3, sigma_kind="diag")
+    budget = _budget(4, 3)
+    cost = make_quadratic_cost(np.ones(2), budget.radius, 1e-3)
+    unroll_value_net(rec.mu_net, rec.sigma_col_nets, cost.net, rec.system, budget, 7)
+    # one weighted step per path and step; one combine averages the paths
+    assert calls == {"add_compose": 4 * 3, "combine": 1}
 
 
 def test_unroll_report_and_size_bound():
