@@ -532,7 +532,7 @@ def run_convergence(cfg, out_dir, seed):
 def _plan_constants(recipe):
     eta = recipe.system.eta
     kappa = max(1.0, recipe.system.kappa0)
-    tau = 2.0 + eta / 2.0
+    tau = uniform_cube_measure(eta).tau
     return eta, kappa, tau
 
 

@@ -2,10 +2,13 @@
 
 Two players pick piecewise-constant deterministic strategies on a finite
 grid of intervention times (a subset of the Euler grid), each drawn from a
-finite action set.  For every strategy pair a value network is synthesized
-by the same unrolling as the uncontrolled case, with the active actions
-frozen into branch biases per step and the control cost folded into the
-output bias; all pairs share one architecture and one Brownian realization.
+finite action set.  Each strategy pair is resolved once to the array of
+action pairs its Euler steps apply; the unrolling and the brute-force
+oracle both read that array.  For every pair a value network is
+synthesized by the same unrolling as the uncontrolled case, with each
+step's actions frozen into branch biases and the control cost folded into
+the output bias; all pairs share one architecture and one Brownian
+realization.
 The game value network is then a min-tree over player-1 strategies of
 max-trees over player-2 strategies, which is exact, so it must agree with
 brute-force enumeration to floating point.
@@ -19,7 +22,6 @@ import numpy as np
 
 from .calculus import max_tree, min_tree, pad_to_pow2
 from .network import fold_affine
-from .sde import PerturbedCoefficients
 from .synthesis import coefficients_from_nets, mc_reference, unroll_value_net
 
 __all__ = [
@@ -31,7 +33,8 @@ __all__ = [
     "game_delta",
 ]
 
-DEFAULT_PAIR_CAP = 4096
+# enumerate_strategies refuses grids with more strategy pairs than this
+PAIR_CAP = 4096
 
 
 @dataclass
@@ -48,7 +51,6 @@ class StrategyGrid:
     u1_actions: np.ndarray
     u2_actions: np.ndarray
     g: Callable = field(default=lambda u1, u2: 0.0)
-    pair_cap: int = DEFAULT_PAIR_CAP
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64).reshape(-1)
@@ -64,46 +66,45 @@ class StrategyGrid:
         return len(self.times)
 
     def check_on_grid(self, horizon, steps):
+        """Step indices of the intervention times; ValueError off the Euler grid."""
         h = horizon / steps
         idx = self.times / h
-        if not np.allclose(idx, np.round(idx), atol=1e-9):
+        on_grid = np.round(idx)
+        if not np.allclose(idx, on_grid, atol=1e-9):
             raise ValueError(
                 "intervention times must lie on the Euler grid (h=%g)" % h
             )
-
-    def interval_index(self, t):
-        return int(np.searchsorted(self.times, t + 1e-12, side="right") - 1)
+        return on_grid.astype(np.int64)
 
 
 def enumerate_strategies(grid):
     """All action-index sequences per player, in lexicographic order.
 
-    Refuses when the number of strategy pairs exceeds the grid's cap.
+    Refuses when the number of strategy pairs exceeds PAIR_CAP.
     """
     m = grid.n_interventions
     n1 = len(grid.u1_actions) ** m
     n2 = len(grid.u2_actions) ** m
-    if n1 * n2 > grid.pair_cap:
+    if n1 * n2 > PAIR_CAP:
         raise ValueError(
             "strategy enumeration needs %d pairs, above the cap %d"
-            % (n1 * n2, grid.pair_cap)
+            % (n1 * n2, PAIR_CAP)
         )
     s1 = list(itertools.product(range(len(grid.u1_actions)), repeat=m))
     s2 = list(itertools.product(range(len(grid.u2_actions)), repeat=m))
     return s1, s2
 
 
-def _schedule(grid, budget, strat1, strat2):
-    """Map a step index to the frozen (u1, u2) vector for that step."""
-    h = budget.h
+def _step_actions(grid, budget, strat1, strat2):
+    """(N, m1+m2) array whose row n is the (u1, u2) pair applied at step n.
 
-    def action(n):
-        k = grid.interval_index(n * h)
-        u1 = grid.u1_actions[strat1[k]]
-        u2 = grid.u2_actions[strat2[k]]
-        return np.concatenate([u1, u2])
-
-    return action
+    Step n lies in the interval of the last intervention at or before it;
+    an intervention time off the Euler grid raises ValueError.
+    """
+    starts = grid.check_on_grid(budget.horizon, budget.steps)
+    pairs = np.hstack([grid.u1_actions[list(strat1)], grid.u2_actions[list(strat2)]])
+    interval = np.searchsorted(starts, np.arange(budget.steps), side="right") - 1
+    return pairs[interval]
 
 
 def _control_cost(grid, strat1, strat2):
@@ -119,7 +120,6 @@ def controlled_value_net(strat1, strat2, recipe, cost, budget, seed, grid):
     into the output bias.  The resulting architecture does not depend on
     the chosen strategies.
     """
-    grid.check_on_grid(budget.horizon, budget.steps)
     psi, report = unroll_value_net(
         recipe.mu_net,
         recipe.sigma_col_nets,
@@ -127,7 +127,7 @@ def controlled_value_net(strat1, strat2, recipe, cost, budget, seed, grid):
         recipe.system,
         budget,
         seed,
-        action_schedule=_schedule(grid, budget, strat1, strat2),
+        actions=_step_actions(grid, budget, strat1, strat2),
     )
     shift = _control_cost(grid, strat1, strat2)
     # a zero cost leaves the output bias untouched
@@ -147,28 +147,6 @@ def infsup_net(w_nets):
     return min_tree(pad_to_pow2(row_nets))
 
 
-def _controlled_coeffs(recipe, grid, budget, strat1, strat2):
-    """Piecewise-constant-in-time coefficient callables from the nets.
-
-    The per-step coefficients are built once; a call at time t uses the
-    ones of the step t falls on.
-    """
-    schedule = _schedule(grid, budget, strat1, strat2)
-    h = budget.h
-    steps = [
-        coefficients_from_nets(recipe.mu_net, recipe.sigma_col_nets, extra=schedule(n))
-        for n in range(budget.steps)
-    ]
-
-    def mu(t, x):
-        return steps[int(round(t / h))].mu(t, x)
-
-    def noise(t, x, db):
-        return steps[int(round(t / h))].noise(t, x, db)
-
-    return PerturbedCoefficients(mu=mu, noise=noise, gamma=recipe.gamma)
-
-
 def brute_force_game_value(recipe, grid, cost, budget, seed, x):
     """inf over u1 of sup over u2 of the simulated value, shared seed.
 
@@ -178,7 +156,10 @@ def brute_force_game_value(recipe, grid, cost, budget, seed, x):
     s1, s2 = enumerate_strategies(grid)
 
     def value(strat1, strat2):
-        coeffs = _controlled_coeffs(recipe, grid, budget, strat1, strat2)
+        actions = _step_actions(grid, budget, strat1, strat2)
+        # the scheme calls the coefficients at grid times t = n h only
+        action = lambda t: actions[int(round(t / budget.h))]
+        coeffs = coefficients_from_nets(recipe.mu_net, recipe.sigma_col_nets, action)
         direct = mc_reference(recipe.system, coeffs, cost, budget, seed, x)
         return direct + _control_cost(grid, strat1, strat2)
 

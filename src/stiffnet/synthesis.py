@@ -253,19 +253,20 @@ def plan_cost(d, budget, kappa, beta_weights=None):
     return make_quadratic_cost(beta_weights, radius, eps_cost)
 
 
-def coefficients_from_nets(mu_net, sigma_col_nets, gamma=0.0, extra=None):
+def coefficients_from_nets(mu_net, sigma_col_nets, action=None):
     """Drift and noise callables evaluating the coefficient networks.
 
-    The networks take (t, x) (optionally followed by a fixed action vector
-    `extra`); the callables take (t, x) with x batched over paths.  The
-    noise sum_j col_j(t, x) db_j is summed left to right.
+    The networks take (t, x), followed by the action vector `action(t)`
+    when `action` is given; the callables take (t, x) with x batched over
+    paths.  The noise sum_j col_j(t, x) db_j is summed left to right.
     """
 
     def augment(t, x):
         x = np.asarray(x, dtype=np.float64)
         cols = [np.full(x.shape[:-1] + (1,), t), x]
-        if extra is not None:
-            cols.append(np.broadcast_to(extra, x.shape[:-1] + (len(extra),)))
+        if action is not None:
+            u = action(t)
+            cols.append(np.broadcast_to(u, x.shape[:-1] + (len(u),)))
         return np.concatenate(cols, axis=-1)
 
     def mu(t, x):
@@ -275,7 +276,7 @@ def coefficients_from_nets(mu_net, sigma_col_nets, gamma=0.0, extra=None):
         z = augment(t, x)
         return sum(realize(net, z) * db[..., j, None] for j, net in enumerate(sigma_col_nets))
 
-    return PerturbedCoefficients(mu=mu, noise=noise, gamma=gamma)
+    return PerturbedCoefficients(mu=mu, noise=noise)
 
 
 def _as_branch(coeff_net, d):
@@ -297,7 +298,7 @@ def unroll_value_net(
     sys,
     budget,
     seed,
-    action_schedule=None,
+    actions=None,
 ):
     """Build the single network realizing the fixed-noise MC value estimate.
 
@@ -307,8 +308,8 @@ def unroll_value_net(
     block, then post-fold (I+hA)^{-1}.  Compose with the cost network, then
     average the paths with one linear combination.
 
-    `action_schedule`, when given, maps a step index to the action vector
-    appended to (t_n) as branch constants (the controlled variant).
+    `actions`, when given, is an (N, m) array whose row n is appended to
+    (t_n) as branch constants (the controlled variant).
 
     Returns (network, report); the report carries the size, the conservative
     size bound, and the last-hidden-width audit of every unroll step.
@@ -333,8 +334,8 @@ def unroll_value_net(
         psi = fold_affine(identity_net(d, 1), "post", inv)
         for n in range(n_steps):
             u = [n * h]
-            if action_schedule is not None:
-                u = list(u) + list(action_schedule(n))
+            if actions is not None:
+                u += list(actions[n])
             # one scheme step: psi + h mu(t_n, psi) + sum_j db_j sigma_j(t_n, psi)
             psi = add_compose(psi, branches, u, [h] + list(blocks[n][m]))
             if psi.dims[-2] != expected_width:

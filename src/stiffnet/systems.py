@@ -40,7 +40,6 @@ class SystemRecipe:
     system: StiffSystem
     mu_net: Network
     sigma_col_nets: list
-    gamma: float
     params: dict = field(default_factory=dict)
     sigma0: Optional[np.ndarray] = None  # set when sigma is constant
     linear: bool = False  # mu == 0 and sigma constant => exact oracle
@@ -83,7 +82,8 @@ def _diag_column_net(d, i, scale):
 
 
 def _zero_drift(t, x):
-    return np.zeros_like(np.asarray(x, dtype=np.float64))
+    # a read-only view: the scheme only reads the drift
+    return np.broadcast_to(0.0, np.shape(x))
 
 
 def _diagonal_recipe(id, d, a_diag, drift, noise, eta, sigma_kind, kappa0, params):
@@ -144,7 +144,6 @@ def _diagonal_recipe(id, d, a_diag, drift, noise, eta, sigma_kind, kappa0, param
         system=sysm,
         mu_net=mu_net,
         sigma_col_nets=cols,
-        gamma=0.0,
         params=params,
         sigma0=sigma0,
         linear=sigma_kind == "const" and c == 0.0,

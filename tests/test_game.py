@@ -69,7 +69,6 @@ def test_enumerate_refuses_above_cap():
         times=np.linspace(0.0, 0.9, 10),
         u1_actions=np.array([[0.0], [1.0]]),
         u2_actions=np.array([[0.0], [1.0]]),
-        pair_cap=4096,
     )
     with pytest.raises(ValueError):
         enumerate_strategies(grid)
@@ -81,9 +80,33 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         StrategyGrid(times=[0.0, 0.0], u1_actions=[[0.0]], u2_actions=[[0.0]])
     grid = _grid(2)
-    grid.check_on_grid(1.0, 4)  # 0.5 lies on the 4-step grid
+    # 0.5 lies on the 4-step grid, at step 2
+    assert grid.check_on_grid(1.0, 4).tolist() == [0, 2]
     with pytest.raises(ValueError):
         grid.check_on_grid(1.0, 3)
+
+
+def test_step_actions_row_is_the_action_of_the_interval_holding_the_step():
+    from stiffnet.game import _step_actions
+
+    times = [0.0, 0.25, 0.625]
+    grid = StrategyGrid(
+        times=times,
+        u1_actions=np.array([[0.0, 1.0], [2.0, 3.0]]),
+        u2_actions=np.array([[-1.0], [-2.0], [-3.0]]),
+    )
+    budget = _budget(steps=8)
+    s1, s2 = enumerate_strategies(grid)
+    for strat1 in s1[::3]:
+        for strat2 in s2[::5]:
+            actions = _step_actions(grid, budget, strat1, strat2)
+            assert actions.shape == (8, 3)
+            for n in range(8):
+                k = max(i for i, t in enumerate(times) if t <= n * budget.h)
+                want = np.concatenate(
+                    [grid.u1_actions[strat1[k]], grid.u2_actions[strat2[k]]]
+                )
+                assert np.array_equal(actions[n], want)
 
 
 def test_game_delta_examples():
@@ -249,6 +272,18 @@ def test_brute_force_batch_equals_single_points_one_simulation_per_pair(monkeypa
     assert batch.shape == (20,)
     assert isinstance(singles[0], float)
     assert np.array_equal(batch, singles)
+
+
+def test_off_grid_times_raise_in_the_net_and_in_the_oracle():
+    d = 2
+    rec = make_controlled_relu_drift(d, l_mu=0.3, noise_scale=0.1)
+    grid = _grid(2)  # 0.5 is off the 3-step grid
+    budget = _budget(3, 8)
+    cost = plan_cost(d, budget, kappa=1.0)
+    with pytest.raises(ValueError, match="Euler grid"):
+        controlled_value_net((0, 0), (0, 0), rec, cost, budget, 13, grid)
+    with pytest.raises(ValueError, match="Euler grid"):
+        brute_force_game_value(rec, grid, cost, budget, 13, np.zeros(d))
 
 
 def test_controlled_singleton_reduces_to_uncontrolled_plus_g():

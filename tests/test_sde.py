@@ -260,7 +260,7 @@ def test_simulate_noise_term_equals_matrix_contraction():
     for d in (2, 8):
         rec = make_controlled_relu_drift(d, noise_scale=0.3)
         extra = np.array([0.5, -0.25])
-        cases.append((rec, coefficients_from_nets(rec.mu_net, rec.sigma_col_nets, extra=extra)))
+        cases.append((rec, coefficients_from_nets(rec.mu_net, rec.sigma_col_nets, lambda t: extra)))
     for rec, coeffs in cases:
         coeffs = exact_coefficients(rec.system) if coeffs is None else coeffs
         cfg = EulerConfig(1.0, 8)
