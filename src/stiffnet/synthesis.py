@@ -233,8 +233,8 @@ def calibrate_cplan(
     )
 
 
-def plan_cost(d, budget, kappa, beta_weights=None):
-    """Quadratic cost sized to the budget's accuracy slots.
+def plan_cost(d, budget, kappa):
+    """Unit-weight quadratic cost sum x_m^2 sized to the budget's accuracy slots.
 
     The cost network's internal accuracy is chosen so its sup defect theta
     stays within the delta-scaled slot delta * kappa d^kappa D^kappa and
@@ -242,15 +242,11 @@ def plan_cost(d, budget, kappa, beta_weights=None):
     quadratic allocation keeps the sawtooth stage count strictly increasing
     under each halving of eps at only logarithmic size cost).
     """
-    if beta_weights is None:
-        beta_weights = np.ones(d)
-    beta_weights = np.asarray(beta_weights, dtype=np.float64).reshape(-1)
-    bmax = float(np.max(np.abs(beta_weights)))
     radius = budget.radius
-    denom = bmax * d * radius * radius
+    denom = d * radius * radius
     slot = budget.delta * kappa * d**kappa * radius**kappa / denom
     eps_cost = min(slot, budget.eps * budget.eps / (8.0 * denom), 0.49)
-    return make_quadratic_cost(beta_weights, radius, eps_cost)
+    return make_quadratic_cost(np.ones(d), radius, eps_cost)
 
 
 def coefficients_from_nets(mu_net, sigma_col_nets, action=None):

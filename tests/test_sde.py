@@ -1,12 +1,16 @@
 """Linear-implicit scheme engine: stability, determinism, statistical bounds."""
 
+import dataclasses
+import inspect
 import threading
+import tracemalloc
 from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
 
 from stiffnet import (
+    RECIPES,
     EulerConfig,
     PathBundle,
     StiffSystem,
@@ -23,6 +27,7 @@ from stiffnet import (
     step_pes,
     validate_system,
 )
+from stiffnet import sde
 from stiffnet.sde import (
     _WINDOW,
     ImplicitFactor,
@@ -55,41 +60,190 @@ def _zero_system(d, A=None, noise=None, beta=0.0, eta=0.5, sigma_l0=0.0):
 # ------------------------------------------------------------- validation
 
 
-def test_validate_trivial_system_passes():
-    A = np.diag([1.0, 2.0])
-    rep = validate_system(_zero_system(2, A=A), trials=200)
-    assert rep.passed
-    assert rep.worst_margin >= 0.0
-
-
-def test_validate_relu_drift_passes():
-    d = 2
-    sys = StiffSystem(
-        d=d,
-        A=np.zeros((d, d)),
+def _relu_system():
+    return StiffSystem(
+        d=2,
+        A=np.zeros((2, 2)),
         mu=lambda t, x: np.maximum(np.asarray(x, dtype=np.float64), 0.0),
         noise=lambda t, x, db: np.zeros_like(db),
         beta=2.0,  # L + eta L^2 with L = 1, eta ~ 1
         eta=0.99,
         mu_l1=1.0,
     )
-    assert validate_system(sys, trials=500).passed
 
 
-def test_validate_catches_violation():
-    d = 1
-    sys = StiffSystem(
-        d=d,
-        A=np.zeros((d, d)),
+def _tripled_drift_system():
+    return StiffSystem(
+        d=1,
+        A=np.zeros((1, 1)),
         mu=lambda t, x: 3.0 * np.asarray(x, dtype=np.float64),
         noise=lambda t, x, db: np.zeros_like(db),
         beta=0.0,
         eta=0.99,
         mu_l1=3.0,
     )
-    rep = validate_system(sys, trials=500)
+
+
+def _late_break_system(t_break):
+    # zero drift up to t_break, then 3x, which beta = 0 does not cover
+    return StiffSystem(
+        d=2,
+        A=np.zeros((2, 2)),
+        mu=lambda t, x: np.where(np.asarray(t) > t_break, 3.0, 0.0) * x,
+        noise=lambda t, x, db: np.zeros_like(db),
+        beta=0.0,
+        eta=0.5,
+        mu_l1=3.0,
+    )
+
+
+def _loop_validate(sys):
+    """validate_system one (t, x, y) trial at a time, sigma as a d x d matrix.
+
+    The reference the batched validator must match: same sample, same
+    checks, same verdict rules.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(sde._VALIDATE_SEED)))
+    d = sys.d
+    ts = rng.uniform(0.0, sde._VALIDATE_HORIZON, sde._VALIDATE_TRIALS)
+    xs = rng.normal(0.0, sde._VALIDATE_SCALE, (sde._VALIDATE_TRIALS, d))
+    ys = rng.normal(0.0, sde._VALIDATE_SCALE, (sde._VALIDATE_TRIALS, d))
+    eye = np.eye(d)
+
+    def sigma_rows(t, x):
+        return sys.noise(t, x[None].repeat(d, axis=0), eye)
+
+    worst, witness, lip_ok = np.inf, None, True
+    for t, x, y in zip(ts, xs, ys):
+        dmu = np.asarray(sys.mu(t, x)) - np.asarray(sys.mu(t, y))
+        ds = sigma_rows(t, x) - sigma_rows(t, y)
+        diff = x - y
+        fro2 = np.sum(ds * ds)
+        lhs = diff @ dmu + sys.eta * dmu @ dmu + 0.5 * (1.0 + sys.eta) * fro2
+        margin = sys.beta * diff @ diff + diff @ (sys.A @ diff) - lhs
+        if margin < worst:
+            worst, witness = margin, (float(t), x.copy(), y.copy())
+        dn = np.linalg.norm(diff)
+        if np.linalg.norm(dmu) > sys.mu_l1 * dn * (1 + 1e-9) + 1e-12:
+            lip_ok = False
+        if np.sqrt(fro2) > sys.sigma_l1 * dn * (1 + 1e-9) + 1e-12:
+            lip_ok = False
+    zero = np.zeros(d)
+    t0 = ts[:64]
+    disp_mu = max(np.linalg.norm(np.asarray(sys.mu(t, zero))) for t in t0)
+    disp_sigma = max(np.sqrt(np.sum(sigma_rows(t, zero) ** 2)) for t in t0)
+    psd_ok = all(x @ (sys.A @ x) >= -1e-10 * (x @ x) for x in xs[:100])
+    checks = {
+        "monotonicity_worst_margin": float(worst),
+        "psd_quadratic_form": psd_ok,
+        "lipschitz_within_seminorms": lip_ok,
+        "mu_displacement": float(disp_mu),
+        "mu_displacement_bound": sys.mu_l0,
+        "sigma_displacement": float(disp_sigma),
+        "sigma_displacement_bound": sys.sigma_l0,
+    }
+    passed = bool(
+        worst >= -1e-9 * max(1.0, abs(worst))
+        and psd_ok
+        and lip_ok
+        and disp_mu <= sys.mu_l0 * (1 + 1e-9) + 1e-12
+        and disp_sigma <= sys.sigma_l0 * (1 + 1e-9) + 1e-12
+    )
+    witness = None if passed else witness
+    return sde.ValidationReport(passed, float(worst), witness, checks)
+
+
+def _assert_same_report(got, want):
+    assert got.passed == want.passed
+    assert got.checks.keys() == want.checks.keys()
+    for key, value in want.checks.items():
+        if isinstance(value, bool):
+            assert got.checks[key] == value, key
+        else:
+            # relative, floored at 1 like the validator's own round-off tolerance
+            err = abs(got.checks[key] - value)
+            assert err <= 1e-12 * max(1.0, abs(value)), key
+    assert got.worst_margin == got.checks["monotonicity_worst_margin"]
+    if want.passed:
+        assert got.worst_witness is None
+    else:
+        t, x, y = got.worst_witness
+        assert t == want.worst_witness[0]
+        assert np.array_equal(x, want.worst_witness[1])
+        assert np.array_equal(y, want.worst_witness[2])
+
+
+def _recipe_shapes():
+    for recipe_id, factory in RECIPES.items():
+        if "sigma_kind" in inspect.signature(factory).parameters:
+            yield from ((recipe_id, kind) for kind in ("const", "diag"))
+        else:
+            yield recipe_id, None
+
+
+def test_validate_trivial_system_passes():
+    A = np.diag([1.0, 2.0])
+    rep = validate_system(_zero_system(2, A=A))
+    assert rep.passed
+    assert rep.worst_margin >= 0.0
+
+
+def test_validate_relu_drift_passes():
+    assert validate_system(_relu_system()).passed
+
+
+def test_validate_catches_violation():
+    rep = validate_system(_tripled_drift_system())
     assert not rep.passed
     assert rep.worst_witness is not None
+
+
+def test_validate_reads_time_as_a_column():
+    # the drift breaks monotonicity only for t > 1/2: the witness lies there,
+    # and moving the break past the horizon makes the system pass
+    rep = validate_system(_late_break_system(0.5))
+    assert not rep.passed
+    assert rep.worst_witness[0] > 0.5
+    assert validate_system(_late_break_system(sde._VALIDATE_HORIZON + 0.5)).passed
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        lambda: _zero_system(2, A=np.diag([1.0, 2.0])),
+        _relu_system,
+        _tripled_drift_system,
+        lambda: _late_break_system(0.5),
+        lambda: _late_break_system(sde._VALIDATE_HORIZON + 0.5),
+    ],
+    ids=["trivial", "relu", "tripled", "break_inside", "break_past"],
+)
+def test_validate_matches_loop_reference_on_test_systems(system):
+    sys = system()
+    _assert_same_report(validate_system(sys), _loop_validate(sys))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 32])
+@pytest.mark.parametrize("recipe_id, sigma_kind", list(_recipe_shapes()))
+def test_validate_matches_loop_reference_on_recipes(recipe_id, sigma_kind, d):
+    params = {} if sigma_kind is None else {"sigma_kind": sigma_kind}
+    sys = RECIPES[recipe_id](d, **params).system
+    # beta lowered by 1 breaks monotonicity wherever A does not cover it,
+    # so the failing verdicts and their witnesses are compared too
+    for s in (sys, dataclasses.replace(sys, beta=sys.beta - 1.0)):
+        _assert_same_report(validate_system(s), _loop_validate(s))
+
+
+def test_validate_memory_is_linear_in_d():
+    sys = make_ou(128, sigma_kind="diag").system
+    tracemalloc.start()
+    try:
+        validate_system(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (1000, 128, 128) array alone would take 131 MB
+    assert peak <= 16 * 2**20
 
 
 # ---------------------------------------------------------- implicit factor
