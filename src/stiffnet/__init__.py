@@ -12,6 +12,7 @@ from .network import (
     network_to_text,
     realize,
     save_network,
+    unstack,
 )
 from .calculus import (
     add_compose,
@@ -61,6 +62,7 @@ from .game import (
     enumerate_strategies,
     game_delta,
     infsup_net,
+    pair_value_nets,
 )
 from .systems import (
     CostPack,

@@ -20,6 +20,12 @@ Weights are CSR (see ``network``).  The block builders below assemble the
 result's values, column indices and row pointers from the blocks' arrays
 with offset arithmetic, so no stacked or block-diagonal matrix is ever
 dense; only thin products (the add_compose seam) are formed densely.
+
+Every construction also takes stacks (see ``network``): the pattern
+arithmetic runs once and the values of all members move together, so
+member s of the result is, bit for bit, the construction applied to the
+members s of its operands.  Parts a stack shares broadcast over its
+members, and add_compose takes its constants and weights per member.
 """
 
 import functools
@@ -28,7 +34,7 @@ import math
 
 import numpy as np
 
-from .network import Layer, Network, NetworkShapeError, _csr, _dense, fold_affine
+from .network import Layer, Network, NetworkShapeError, _csr, _dense, _matvec, fold_affine
 
 __all__ = [
     "arch_signature",
@@ -67,10 +73,31 @@ def _require_same_arch(nets, what):
             )
 
 
+def _cat(parts, axis=-1):
+    """np.concatenate along `axis`, parts shared by a stack broadcast over it."""
+    lead = max((p.shape[:axis] for p in parts), key=len)
+    return np.concatenate(
+        [p if p.ndim == len(lead) - axis else np.broadcast_to(p, lead + p.shape[axis:])
+         for p in parts],
+        axis,
+    )
+
+
+def _scaled(coeffs, mats):
+    """The blocks' values times their coefficients, concatenated.
+
+    A coefficient is a number or, for a stack, an (S, 1) column.
+    """
+    return _cat(
+        [m.data if isinstance(c, float) and c == 1 else c * m.data
+         for c, m in zip(coeffs, mats)]
+    )
+
+
 def _rows_stacked(coeffs, mats, col_offsets, n_cols):
     """CSR of c_k W_k one under another, block k's columns shifted."""
-    starts = list(itertools.accumulate([len(m.data) for m in mats], initial=0))
-    data = np.concatenate([m.data if c == 1 else c * m.data for c, m in zip(coeffs, mats)])
+    starts = list(itertools.accumulate([m.data.shape[-1] for m in mats], initial=0))
+    data = _scaled(coeffs, mats)
     indices = np.concatenate(
         [np.add(m.indices, off, dtype=np.int64) for m, off in zip(mats, col_offsets)]
     )
@@ -99,11 +126,11 @@ def _hstack(coeffs, mats):
     row_of = np.repeat(np.arange(rows * len(mats)) % rows, counts)
     # blocks come in column order, so a stable sort by row keeps each row sorted
     order = np.argsort(row_of, kind="stable")
-    data = np.concatenate([m.data if c == 1 else c * m.data for c, m in zip(coeffs, mats)])
+    data = _scaled(coeffs, mats)
     indices = np.concatenate(
         [np.add(m.indices, off, dtype=np.int64) for m, off in zip(mats, offsets)]
     )
-    return _csr(data[order], indices[order], ptrs.sum(axis=0), (rows, offsets[-1]))
+    return _csr(data[..., order], indices[order], ptrs.sum(axis=0), (rows, offsets[-1]))
 
 
 # the constant blocks are read-only, so each size is built once
@@ -122,7 +149,7 @@ def _carried(layer):
     """The layer's pre-activation y as the pair (y, -y), stacked."""
     return Layer(
         _vstack([1.0, -1.0], [layer, layer]),
-        np.concatenate([layer.bias, -layer.bias]),
+        _cat([layer.bias, -layer.bias]),
     )
 
 
@@ -130,15 +157,13 @@ def _stacked(layers):
     """One shared input: the layers' rows stacked."""
     return Layer(
         _vstack([1.0] * len(layers), layers),
-        np.concatenate([l.bias for l in layers]),
+        _cat([l.bias for l in layers]),
     )
 
 
 def _side_by_side(layers):
     """Block-diagonal: each layer acts on its own block of the input."""
-    return Layer(
-        _block_diag(layers), np.concatenate([l.bias for l in layers])
-    )
+    return Layer(_block_diag(layers), _cat([l.bias for l in layers]))
 
 
 def _summed(coeffs, layers):
@@ -240,13 +265,18 @@ def parallel_shared(net_a, net_b):
     return Network([_stacked(pairs[0])] + [_side_by_side(p) for p in pairs[1:]])
 
 
-def _split_branch_first(branch, d):
-    w = _dense(branch.layers[0])
-    if w.shape[1] <= d:
+# keyed by the layer object: the unroll passes the same branches at every
+# step, so each first layer is densified and split once per unroll
+@functools.lru_cache(maxsize=256)
+def _split_first(layer, d):
+    """The first layer's state and constant columns, (wx, wu), as dense arrays."""
+    if layer.fan_in <= d:
         raise NetworkShapeError(
             "add_compose branch must take more inputs than the base output"
         )
-    return w[:, :d], w[:, d:]
+    w = _dense(layer)
+    w.flags.writeable = False
+    return w[..., :d], w[..., d:]
 
 
 def add_compose(base, branches, u, coeffs=None):
@@ -259,6 +289,10 @@ def add_compose(base, branches, u, coeffs=None):
     on them either.  Resulting depth is L_base + L' - 1.  The base value is
     carried past the branch layers as a (relu, relu-of-minus) pair, giving
     last hidden width 2d + sum_m N^m_(L'-1) when L' >= 2.
+
+    For a stack of S members, u may be an (S, d') array and coeffs an
+    (S, k) array, one row per member; a base that is not a stack is shared
+    by them.
     """
     d = base.dim_out
     if base.dim_in != d:
@@ -266,8 +300,9 @@ def add_compose(base, branches, u, coeffs=None):
     branches = list(branches)
     if not branches:
         raise ValueError("add_compose needs at least one branch")
-    coeffs = [1.0] * len(branches) if coeffs is None else [float(c) for c in coeffs]
-    if len(coeffs) != len(branches):
+    k = len(branches)
+    coeffs = np.ones(k) if coeffs is None else np.asarray(coeffs, dtype=np.float64)
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != k:
         raise ValueError("add_compose: need one coefficient per branch")
     depth_b = branches[0].depth
     for br in branches:
@@ -278,11 +313,23 @@ def add_compose(base, branches, u, coeffs=None):
         if br.dim_in != branches[0].dim_in:
             raise NetworkShapeError("add_compose branches must share input width")
     d_aux = branches[0].dim_in - d
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    if u.shape[0] != d_aux:
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim < 2:
+        u = u.reshape(-1)
+    if u.shape[-1] != d_aux:
         raise NetworkShapeError(
-            "add_compose: u has length %d but branches expect %d" % (len(u), d_aux)
+            "add_compose: u has length %d but branches expect %d" % (u.shape[-1], d_aux)
         )
+    counts = {a.shape[0] for a in (u, coeffs) if a.ndim == 2}
+    counts |= {base.members} - {None}
+    if len(counts) > 1:
+        raise NetworkShapeError(
+            "add_compose: base, u and coeffs disagree on the member count: %s"
+            % sorted(counts)
+        )
+    # one number per branch, or one (S, 1) column per branch for a stack
+    coeffs = list(coeffs.T[..., None]) if coeffs.ndim == 2 else list(coeffs)
+    splits = [_split_first(br.layers[0], d) for br in branches]
 
     # the seam multiplies the base's last layer, which has d rows, by the
     # branches' first layers, which have d + d' columns: both are thin, so
@@ -293,18 +340,17 @@ def add_compose(base, branches, u, coeffs=None):
     if depth_b == 1:
         gain = np.eye(d)
         shift = np.zeros(d)
-        for c, br in zip(coeffs, branches):
-            wx, wu = _split_branch_first(br, d)
-            gain = gain + c * wx
-            shift = shift + c * wu @ u + c * br.layers[0].bias
-        return Network(head + [Layer(gain @ w_last, gain @ b_last + shift)])
+        for c, (wx, wu), br in zip(coeffs, splits, branches):
+            c_mat = np.expand_dims(c, -1)
+            gain = gain + c_mat * wx
+            shift = shift + _matvec(c_mat * wu, u) + c * br.layers[0].bias
+        return Network(head + [Layer(gain @ w_last, _matvec(gain, b_last) + shift)])
 
     seam_w, seam_b = [w_last, -w_last], [b_last, -b_last]
-    for br in branches:
-        wx, wu = _split_branch_first(br, d)
+    for (wx, wu), br in zip(splits, branches):
         seam_w.append(wx @ w_last)
-        seam_b.append(wx @ b_last + wu @ u + br.layers[0].bias)
-    layers = head + [Layer(np.vstack(seam_w), np.concatenate(seam_b))]
+        seam_b.append(_matvec(wx, b_last) + _matvec(wu, u) + br.layers[0].bias)
+    layers = head + [Layer(_cat(seam_w, axis=-2), _cat(seam_b))]
 
     if depth_b > 2:
         carry = _carried(Layer(_merge(d), np.zeros(d)))

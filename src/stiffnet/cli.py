@@ -42,10 +42,10 @@ from .calculus import (
 from .game import (
     StrategyGrid,
     brute_force_game_value,
-    controlled_value_net,
     enumerate_strategies,
     game_delta,
     infsup_net,
+    pair_value_nets,
 )
 from .network import Layer, Network, fold_affine, realize, save_network
 from .sde import drawing_threads, exact_coefficients, rate_study, reference_steps
@@ -642,10 +642,7 @@ def run_game(cfg, out_dir, seed):
 
     grid = StrategyGrid(times=times, u1_actions=u1, u2_actions=u2, g=g_cost)
     s1, s2 = enumerate_strategies(grid)
-    w_nets = [
-        [controlled_value_net(a, b, recipe, cost, budget, seed, grid)[0] for b in s2]
-        for a in s1
-    ]
+    w_nets, _ = pair_value_nets(s1, s2, recipe, cost, budget, seed, grid)
     leaf_size = w_nets[-1][-1].size
     psi = infsup_net(w_nets)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x6A3E)))

@@ -7,8 +7,8 @@ action pairs its Euler steps apply; the unrolling and the brute-force
 oracle both read that array.  For every pair a value network is
 synthesized by the same unrolling as the uncontrolled case, with each
 step's actions frozen into branch biases and the control cost folded into
-the output bias; all pairs share one architecture and one Brownian
-realization.
+the output bias.  All pairs share one architecture, one sparsity pattern
+and one Brownian realization, so one stacked unroll builds them all.
 The game value network is then a min-tree over player-1 strategies of
 max-trees over player-2 strategies, which is exact, so it must agree with
 brute-force enumeration to floating point.
@@ -28,6 +28,7 @@ __all__ = [
     "StrategyGrid",
     "enumerate_strategies",
     "controlled_value_net",
+    "pair_value_nets",
     "infsup_net",
     "brute_force_game_value",
     "game_delta",
@@ -112,28 +113,45 @@ def _control_cost(grid, strat1, strat2):
     return float(grid.g(grid.u1_actions[list(strat1)], grid.u2_actions[list(strat2)]))
 
 
-def controlled_value_net(strat1, strat2, recipe, cost, budget, seed, grid):
-    """Value network for one strategy pair (shared noise, shared arch).
+def pair_value_nets(strats1, strats2, recipe, cost, budget, seed, grid):
+    """Value networks of every strategy pair (shared noise, shared arch).
 
-    Identical to the uncontrolled unrolling except the active action vector
-    joins the per-step branch constants and the control cost g is folded
-    into the output bias.  The resulting architecture does not depend on
-    the chosen strategies.
+    Rows follow strats1 and columns strats2.  One stacked unroll builds
+    all pairs: it is the uncontrolled unrolling with each pair's active
+    action vector joining the per-step branch constants.  Each pair's
+    control cost g is then folded into its own output bias.  Returns the
+    rows of networks and the unroll report.
     """
-    psi, report = unroll_value_net(
+    pairs = list(itertools.product(strats1, strats2))
+    actions = np.array([_step_actions(grid, budget, a, b) for a, b in pairs])
+    nets, report = unroll_value_net(
         recipe.mu_net,
         recipe.sigma_col_nets,
         cost.net,
         recipe.system,
         budget,
         seed,
-        actions=_step_actions(grid, budget, strat1, strat2),
+        actions=actions,
     )
-    shift = _control_cost(grid, strat1, strat2)
-    # a zero cost leaves the output bias untouched
-    if shift:
-        psi = fold_affine(psi, "post", np.eye(psi.dim_out), np.full(psi.dim_out, shift))
-    return psi, report
+    for i, (strat1, strat2) in enumerate(pairs):
+        shift = _control_cost(grid, strat1, strat2)
+        # a zero cost leaves the output bias untouched
+        if shift:
+            psi = nets[i]
+            nets[i] = fold_affine(
+                psi, "post", np.eye(psi.dim_out), np.full(psi.dim_out, shift)
+            )
+    n2 = len(strats2)
+    return [nets[i : i + n2] for i in range(0, len(nets), n2)], report
+
+
+def controlled_value_net(strat1, strat2, recipe, cost, budget, seed, grid):
+    """Value network for one strategy pair: pair_value_nets' one-pair case.
+
+    The resulting architecture does not depend on the chosen strategies.
+    """
+    rows, report = pair_value_nets([strat1], [strat2], recipe, cost, budget, seed, grid)
+    return rows[0][0], report
 
 
 def infsup_net(w_nets):

@@ -13,6 +13,15 @@ bias is a dense vector.  The constructions of the calculus are block
 structured, so almost every entry is zero, and storage and evaluation cost
 follow the nonzeros.
 
+A layer may also hold a stack of S members that share one sparsity
+pattern: its values are then an (S, nnz) array and its bias an (S, rows)
+array, and a member's zero stays stored where another member's entry is
+not zero.  A network whose layers are stacks is the stack of the networks
+its members form; ordinary layers in it are shared by every member.  The
+calculus builds stacks exactly as it builds single networks, and
+``unstack`` returns the members, each in canonical form.  Only single
+networks are evaluated or serialized.
+
 The parameter count deliberately includes zero entries: every layer
 contributes rows*(cols+1), which is the conservative convention the rest of
 the library's complexity bounds are stated in.  ``Network.nnz`` and
@@ -31,6 +40,7 @@ __all__ = [
     "NetworkShapeError",
     "realize",
     "fold_affine",
+    "unstack",
     "network_to_text",
     "network_from_text",
     "save_network",
@@ -65,13 +75,16 @@ def _csr(data, indices, indptr, shape):
 
     The column indices must increase within each row.  Stored zeros are
     dropped here, so every builder may scale or negate freely and still
-    hand over a canonical matrix.
+    hand over a canonical matrix.  Values of shape (S, nnz) are a stack:
+    an entry is dropped only where it is zero in every member.
     """
-    if np.count_nonzero(data) < len(data):
-        keep = data != 0.0
+    keep = data != 0.0
+    if data.ndim == 2:
+        keep = keep.any(axis=0)
+    if not keep.all():
         indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-        data, indices = data[keep], indices[keep]
-    idx = np.int32 if max(shape + (len(data),)) < 2**31 else np.int64
+        data, indices = data[..., keep], indices[keep]
+    idx = np.int32 if max(shape + data.shape[-1:]) < 2**31 else np.int64
     parts = (data, indices.astype(idx, copy=False), indptr.astype(idx, copy=False))
     for a in parts:
         a.flags.writeable = False
@@ -79,16 +92,24 @@ def _csr(data, indices, indptr, shape):
 
 
 def _csr_from_dense(a):
-    flat = np.flatnonzero(a)
-    rows, cols = a.shape
+    """CSR arrays of a matrix, or of a (S, rows, cols) stack on the union pattern."""
+    rows, cols = a.shape[-2:]
+    flat = np.flatnonzero(a.any(axis=0) if a.ndim == 3 else a)
     indptr = np.searchsorted(flat, np.arange(rows + 1) * cols)
-    return _csr(a.ravel()[flat], flat % cols, indptr, a.shape)
+    data = a.reshape(a.shape[:-2] + (-1,))[..., flat]
+    return _csr(data, flat % cols, indptr, (rows, cols))
 
 
 def _dense(w):
-    """Dense copy of CSR arrays (for thin layers and inspection)."""
-    out = np.zeros(w.shape)
-    out[np.repeat(np.arange(w.shape[0]), w.indptr[1:] - w.indptr[:-1]), w.indices] = w.data
+    """Dense copy of CSR arrays (for thin layers and inspection).
+
+    A stack gives (S, rows, cols).  A member's stored zero, -0.0 included,
+    becomes +0.0 like an absent entry, so each member's copy is that of
+    its canonical matrix.
+    """
+    out = np.zeros(w.data.shape[:-1] + w.shape)
+    rows = np.repeat(np.arange(w.shape[0]), w.indptr[1:] - w.indptr[:-1])
+    out[..., rows, w.indices] = w.data + 0.0
     return out
 
 
@@ -97,8 +118,10 @@ def _as_csr(weight):
     if isinstance(weight, _Csr):
         return weight
     weight = np.asarray(weight, dtype=np.float64)
-    if weight.ndim != 2:
-        raise NetworkShapeError("layer weight must be a matrix, got ndim=%d" % weight.ndim)
+    if weight.ndim not in (2, 3):
+        raise NetworkShapeError(
+            "layer weight must be a matrix or a stack of them, got ndim=%d" % weight.ndim
+        )
     return _csr_from_dense(weight)
 
 
@@ -112,24 +135,36 @@ class Layer:
     made on first use, since a construction builds many layers that are
     never evaluated.  ``weight`` builds a read-only dense copy on each
     access, for inspection only.
+
+    A stacked layer (see the module docstring) takes an (S, rows, cols)
+    weight or (S, nnz) values, and an (S, rows) bias, or a bias shared by
+    its members; ``members`` is S, and None for a single layer.
     """
 
-    __slots__ = ("data", "indices", "indptr", "shape", "bias", "_csr")
+    __slots__ = ("data", "indices", "indptr", "shape", "bias", "members", "_csr")
 
     def __init__(self, weight, bias):
         w = _as_csr(weight)
         bias = np.asarray(bias, dtype=np.float64)
-        if bias.ndim != 1:
+        if bias.ndim not in (1, 2):
             raise NetworkShapeError(
-                "layer bias must be a vector, got ndim=%d" % bias.ndim
+                "layer bias must be a vector or a stack of them, got ndim=%d" % bias.ndim
             )
-        if w.shape[0] != bias.shape[0]:
+        if w.shape[0] != bias.shape[-1]:
             raise NetworkShapeError(
-                "weight rows (%d) must equal bias length (%d)" % (w.shape[0], bias.shape[0])
+                "weight rows (%d) must equal bias length (%d)"
+                % (w.shape[0], bias.shape[-1])
+            )
+        counts = {a.shape[0] for a in (w.data, bias) if a.ndim == 2}
+        if len(counts) > 1:
+            raise NetworkShapeError(
+                "stacked weight and bias disagree on the member count: %s"
+                % sorted(counts)
             )
         for name, value in zip(_Csr._fields, w):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "bias", _freeze(bias))
+        object.__setattr__(self, "members", counts.pop() if counts else None)
         object.__setattr__(self, "_csr", None)
 
     def __setattr__(self, name, value):
@@ -137,6 +172,11 @@ class Layer:
 
     @property
     def csr(self):
+        if self.members is not None:
+            raise NetworkShapeError(
+                "a stacked layer of %d members has no single matrix; unstack its network"
+                % self.members
+            )
         if self._csr is None:
             csr = sp.csr_array((self.data, self.indices, self.indptr), shape=self.shape)
             csr.has_canonical_format = True
@@ -158,13 +198,19 @@ class Layer:
         return self.shape[1]
 
     def __repr__(self):
+        if self.members is not None:
+            return "Layer(%d x %d, stack of %d)" % (self.shape + (self.members,))
         return "Layer(%d x %d)" % self.shape
 
 
 class Network:
-    """Ordered, nonempty list of layers with chained shapes."""
+    """Ordered, nonempty list of layers with chained shapes.
 
-    __slots__ = ("layers",)
+    ``members`` is the member count S of a stack (its stacked layers must
+    agree on it), and None for a single network.
+    """
+
+    __slots__ = ("layers", "members")
 
     def __init__(self, layers):
         layers = tuple(
@@ -178,7 +224,13 @@ class Network:
                     "layer %d expects %d inputs but layer %d produces %d"
                     % (l + 1, layers[l].fan_in, l, layers[l - 1].fan_out)
                 )
+        counts = {l.members for l in layers} - {None}
+        if len(counts) > 1:
+            raise NetworkShapeError(
+                "stacked layers disagree on the member count: %s" % sorted(counts)
+            )
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "members", counts.pop() if counts else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
@@ -207,7 +259,7 @@ class Network:
     @property
     def nnz(self):
         """Nonzero parameters: the stored weight entries plus the nonzero biases."""
-        return sum(len(l.data) + int(np.count_nonzero(l.bias)) for l in self.layers)
+        return sum(l.data.size + int(np.count_nonzero(l.bias)) for l in self.layers)
 
     @property
     def nbytes(self):
@@ -218,11 +270,57 @@ class Network:
         )
 
     def __repr__(self):
-        return "Network(depth=%d, dims=%s, size=%d)" % (
+        return "Network(depth=%d, dims=%s, size=%d%s)" % (
             self.depth,
             self.dims,
             self.size,
+            "" if self.members is None else ", stack of %d" % self.members,
         )
+
+
+def _require_single(net, what):
+    if net.members is not None:
+        raise NetworkShapeError(
+            "%s takes a single network, got a stack of %d members; unstack it first"
+            % (what, net.members)
+        )
+
+
+def _matvec(mat, vec):
+    """mat @ vec for each member, either side a stack or not.
+
+    np.matmul runs the same product on each slice as ``@`` on one, so each
+    member gets the bits its single network would.
+    """
+    return np.matmul(mat, vec[..., None])[..., 0]
+
+
+def _members_at(net, index, weight=_Csr):
+    """The members `index` (an int or a slice) of a stack.
+
+    `weight` makes each stacked layer's CSR arrays: ``_Csr`` keeps the
+    pattern and views the values, ``_csr`` makes a single member canonical.
+    """
+
+    def pick(layer):
+        if layer.members is None:
+            return layer
+        data = layer.data[index] if layer.data.ndim == 2 else layer.data
+        bias = layer.bias[index] if layer.bias.ndim == 2 else layer.bias
+        return Layer(weight(data, layer.indices, layer.indptr, layer.shape), bias)
+
+    return Network([pick(l) for l in net.layers])
+
+
+def unstack(net):
+    """The members of a stacked network, each as a canonical single network.
+
+    A member's stored zeros are dropped; layers the members share are
+    shared by the results.  A single network is its own only member.
+    """
+    if net.members is None:
+        return [net]
+    return [_members_at(net, s, _csr) for s in range(net.members)]
 
 
 def realize(net, x):
@@ -234,6 +332,7 @@ def realize(net, x):
     summed over its row's nonzeros in column order, so a batch gives the
     same bits as its points one at a time.
     """
+    _require_single(net, "realize")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0:
         if net.dim_in != 1:
@@ -265,7 +364,9 @@ def fold_affine(net, side, mat, vec=None):
     side="post": result realizes x -> M net(x) + c; only N_L may change.
     Depth is unchanged, so the architecture survives the fold.  The first
     layer has the input width as columns and the last the output width as
-    rows, so the product is formed densely and stored back as CSR.
+    rows, so the product is formed densely and stored back as CSR.  On a
+    stack the affine map is shared and each member is folded as its single
+    network would be.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
     if vec is None:
@@ -281,14 +382,14 @@ def fold_affine(net, side, mat, vec=None):
                 % (mat.shape[0], net.dim_in)
             )
         w = _dense(layers[0])
-        layers[0] = Layer(w @ mat, w @ vec + layers[0].bias)
+        layers[0] = Layer(w @ mat, _matvec(w, vec) + layers[0].bias)
     elif side == "post":
         if mat.shape[1] != net.dim_out:
             raise NetworkShapeError(
                 "post-fold input width %d != network output %d"
                 % (mat.shape[1], net.dim_out)
             )
-        layers[-1] = Layer(mat @ _dense(layers[-1]), mat @ layers[-1].bias + vec)
+        layers[-1] = Layer(mat @ _dense(layers[-1]), _matvec(mat, layers[-1].bias) + vec)
     else:
         raise ValueError("side must be 'pre' or 'post'")
     return Network(layers)
@@ -379,6 +480,7 @@ def _read_layer(take):
 
 def network_to_text(net):
     """Serialize to text format v2 (nonzeros only, bit-exact floats)."""
+    _require_single(net, "network_to_text")
     out = ["%s v%d" % (SERIAL_TAG, SERIAL_VERSION), "layers %d" % net.depth]
     for layer in net.layers:
         out.append("layer %d %d %d" % (layer.shape + (len(layer.data),)))

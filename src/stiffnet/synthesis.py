@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import add_compose, combine, compose, identity_net
-from .network import fold_affine, realize
+from .network import _members_at, fold_affine, realize, unstack
 from .sde import (
     EulerConfig,
     ImplicitFactor,
@@ -302,18 +302,24 @@ def unroll_value_net(
     each step add-compose the current state network with the drift branch
     weighted by h and the diffusion column branches weighted by the noise
     block, then post-fold (I+hA)^{-1}.  Compose with the cost network, then
-    average the paths with one linear combination.
+    average the paths with one linear combination.  All paths share one
+    architecture and one sparsity pattern, so they are built as one stack:
+    each step is one add_compose and one fold for every path at once.
 
-    `actions`, when given, is an (N, m) array whose row n is appended to
-    (t_n) as branch constants (the controlled variant).
+    `actions`, when given, is a (P, N, m) array of P action plans: row n
+    of plan p is appended to (t_n) as branch constants (the controlled
+    variant).  The P plans share the paths' noise and join the stack, and
+    the result is then the list of their P networks.
 
-    Returns (network, report); the report carries the size, the conservative
-    size bound, and the last-hidden-width audit of every unroll step.
+    Returns (network, report), or (networks, report) when `actions` is
+    given; the report carries the size, the conservative size bound, and
+    the last-hidden-width audit of every unroll step.
     """
     d = sys.d
     h = budget.h
     n_steps = budget.steps
     n_paths = budget.paths
+    n_plans = 1 if actions is None else len(actions)
     bundle = PathBundle(seed, n_paths, n_steps, d, h)
     factor = ImplicitFactor(sys.A, h)
     inv = factor.inverse()
@@ -324,33 +330,37 @@ def unroll_value_net(
     )
     width_ok = True
 
-    blocks = [bundle.increments(n) for n in range(n_steps)]
-    path_nets = []
-    for m in range(n_paths):
-        psi = fold_affine(identity_net(d, 1), "post", inv)
-        for n in range(n_steps):
-            u = [n * h]
-            if actions is not None:
-                u += list(actions[n])
-            # one scheme step: psi + h mu(t_n, psi) + sum_j db_j sigma_j(t_n, psi)
-            psi = add_compose(psi, branches, u, [h] + list(blocks[n][m]))
-            if psi.dims[-2] != expected_width:
-                width_ok = False
-            psi = fold_affine(psi, "post", inv)
-        path_nets.append(compose(cost_net, psi))
+    # member m * n_plans + p is path m under plan p, so each path's members
+    # are adjacent and the average over paths reads them as consecutive slices
+    psi = fold_affine(identity_net(d, 1), "post", inv)
+    for n in range(n_steps):
+        # one scheme step: psi + h mu(t_n, psi) + sum_j db_j sigma_j(t_n, psi)
+        weights = np.hstack([np.full((n_paths, 1), h), bundle.increments(n)])
+        u = np.full((n_paths * n_plans, 1), n * h)
+        if actions is not None:
+            u = np.hstack([u, np.tile(actions[:, n], (n_paths, 1))])
+        psi = add_compose(psi, branches, u, np.repeat(weights, n_plans, axis=0))
+        if psi.dims[-2] != expected_width:
+            width_ok = False
+        psi = fold_affine(psi, "post", inv)
+    psi = compose(cost_net, psi)
 
-    psi_all = combine([1.0 / n_paths] * n_paths, path_nets)
+    path_nets = [
+        _members_at(psi, slice(m * n_plans, (m + 1) * n_plans)) for m in range(n_paths)
+    ]
+    nets = unstack(combine([1.0 / n_paths] * n_paths, path_nets))
 
     bound = unroll_size_bound(
         d, n_steps, n_paths, cost_net.size, [net.size for net in sigma_col_nets]
     )
+    size = nets[0].size
     report = {
-        "size": psi_all.size,
+        "size": size,
         "size_bound": bound,
-        "bound_ok": psi_all.size <= bound,
+        "bound_ok": size <= bound,
         "width_condition_ok": width_ok,
     }
-    return psi_all, report
+    return (nets[0] if actions is None else nets), report
 
 
 def unroll_size_bound(d, n_steps, n_paths, cost_size, sigma_col_sizes):

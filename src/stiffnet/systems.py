@@ -252,14 +252,7 @@ def make_controlled_relu_drift(
         "controlled_relu_drift", d, np.zeros(d), l_mu, s, eta, "const", 1.0, params,
         actions=b_all,
     )
-
-    def mu(t, x, u1, u2):
-        x = np.asarray(x, dtype=np.float64)
-        u = np.concatenate([np.atleast_1d(u1), np.atleast_1d(u2)])
-        return l_mu * np.maximum(x, 0.0) + b_all @ u
-
     recipe.control_dims = (m1, m2)
-    recipe.controlled_mu = mu
     return recipe
 
 

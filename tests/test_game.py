@@ -14,7 +14,11 @@ from stiffnet import (
     game_delta,
     infsup_net,
     make_controlled_relu_drift,
+    make_quadratic_cost,
+    network_to_text,
+    pair_value_nets,
     realize,
+    truncation_radius,
 )
 from stiffnet.synthesis import plan_cost
 
@@ -246,6 +250,49 @@ def test_controlled_value_matches_brute_force():
         singles.append(got)
     # a batch gives the bits of its points one at a time
     assert np.array_equal(realize(net, xs)[:, 0], singles)
+
+
+PAIR_GRIDS = {
+    # the game study's default grid
+    "default": dict(
+        d=2, steps=4, paths=8, seed=1234, times=[0.0, 0.5],
+        u1=[[0.5], [-0.5]], u2=[[0.25], [-0.25]],
+    ),
+    "three player-2 actions": dict(
+        d=2, steps=8, paths=4, seed=4321, times=[0.0, 0.375, 0.625],
+        u1=[[0.5], [-0.5]], u2=[[0.25], [0.0], [-0.25]],
+    ),
+    "2-D player-1 actions": dict(
+        d=3, steps=8, paths=8, seed=7, times=[0.0],
+        u1=[[0.5, 0.0], [0.0, -0.5], [0.25, 0.25]], u2=[[0.25], [-0.25]],
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("name", list(PAIR_GRIDS))
+def test_pair_value_nets_are_the_per_pair_nets_byte_for_byte(name):
+    spec = PAIR_GRIDS[name]
+    d = spec["d"]
+    u1, u2 = np.array(spec["u1"]), np.array(spec["u2"])
+    rec = make_controlled_relu_drift(d, m1=u1.shape[1], m2=u2.shape[1])
+    budget = _budget(spec["steps"], spec["paths"])
+    cost = make_quadratic_cost(
+        np.ones(d), truncation_radius(budget.h, rec.system.eta), 1e-4
+    )
+    grid = StrategyGrid(
+        times=spec["times"], u1_actions=u1, u2_actions=u2,
+        g=lambda a, b: float(np.sum(a**2) - np.sum(b**2)),
+    )  # fmt: skip
+    s1, s2 = enumerate_strategies(grid)
+    rows, report = pair_value_nets(s1, s2, rec, cost, budget, spec["seed"], grid)
+    assert [len(row) for row in rows] == [len(s2)] * len(s1)
+    for strat1, row in zip(s1, rows):
+        for strat2, net in zip(s2, row):
+            one, one_report = controlled_value_net(
+                strat1, strat2, rec, cost, budget, spec["seed"], grid
+            )
+            assert network_to_text(net) == network_to_text(one)
+            assert one_report == report
 
 
 def test_brute_force_batch_equals_single_points_one_simulation_per_pair(monkeypatch):

@@ -17,6 +17,7 @@ from stiffnet import (
     psi_max_net,
     realize,
     save_network,
+    unstack,
 )
 
 
@@ -232,3 +233,37 @@ def test_a_header_the_text_cannot_back_raises_value_error(dims):
         network_from_text(text)
     with pytest.raises(ValueError):
         network_from_text(text + "0 1\n0x1.0p+0\nbias\n0x0.0p+0\n")
+
+
+def test_a_stack_fails_loudly_outside_the_builders(tmp_path):
+    # two members on one pattern: member 1 stores a zero and a -0.0
+    w = np.array([[[1.0, 2.0], [0.0, 3.0]], [[0.0, -0.0], [0.0, 4.0]]])
+    b = np.array([[0.5, -0.0], [0.0, 1.0]])
+    stack = Network([Layer(w, b), Layer(np.array([[1.0, -1.0]]), np.zeros(1))])
+    assert stack.members == 2 and stack.layers[1].members is None
+    assert stack.layers[0].data.shape == (2, 3)
+    # the dense view works on a stack, and a stored zero reads as +0.0
+    dense = stack.layers[0].weight
+    assert dense.shape == (2, 2, 2)
+    assert np.array_equal(dense, w) and not np.signbit(dense[1, 0, 1])
+    for call in (
+        lambda: realize(stack, np.zeros(2)),
+        lambda: stack.layers[0].csr,
+        lambda: network_to_text(stack),
+        lambda: save_network(stack, os.path.join(tmp_path, "stack.txt")),
+    ):
+        with pytest.raises(NetworkShapeError, match="stack"):
+            call()
+    # each member on its own is a canonical single network
+    one, two = unstack(stack)
+    want = Network([Layer(w[0], b[0]), stack.layers[1]])
+    assert network_to_text(one) == network_to_text(want)
+    assert two.layers[0].data.tolist() == [4.0] and two.layers[1] is stack.layers[1]
+    np.testing.assert_array_equal(realize(two, np.ones(2)), [-5.0])
+
+
+def test_stacked_parts_must_agree_on_the_member_count():
+    with pytest.raises(NetworkShapeError, match="member count"):
+        Layer(np.zeros((2, 1, 1)), np.zeros((3, 1)))
+    with pytest.raises(NetworkShapeError, match="member count"):
+        Network([Layer(np.ones((2, 1, 1)), np.zeros(1)), Layer(np.ones((3, 1, 1)), [0.0])])

@@ -1,5 +1,6 @@
 """Property tests: serialization round-trips, hostile text, affine folding,
-and every calculus construction against its pointwise formula."""
+every calculus construction against its pointwise formula, and stacks
+against their members built one at a time."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from stiffnet import (
     Network,
     add_compose,
     combine,
+    compose,
     fold_affine,
     max_tree,
     min_tree,
@@ -20,6 +22,7 @@ from stiffnet import (
     parallel_shared,
     realize,
     square_unit_net,
+    unstack,
     weighted_square_net,
 )
 
@@ -292,3 +295,115 @@ def test_weighted_square_net_is_the_scaled_unit_square(beta, radius, eps, data):
     _assert_close(got, want)
     gap = np.max(np.abs(got - target(xs)))
     assert gap <= np.max(np.abs(beta)) * d * radius**2 * eps * (1 + 1e-9) + 1e-12
+
+
+# ---------------------------------------------------------------- stacks
+
+# exact zeros of both signs and small integers, so members' zero patterns
+# diverge and products cancel exactly
+STACK_FLOAT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -0.5]), SMALL_FLOAT)
+
+
+def _stack_of(draw, dims, members):
+    """A stack of random networks and its members built as single networks.
+
+    Each layer is stacked or, at random, shared by every member; stacked
+    values and biases may differ in their zeros from member to member.
+    """
+    stacked, single = [], [[] for _ in range(members)]
+    for n_in, n_out in zip(dims[:-1], dims[1:]):
+        lead = (members,) if draw(st.booleans()) else ()
+        w = draw(arrays(np.float64, lead + (n_out, n_in), elements=STACK_FLOAT))
+        b = draw(arrays(np.float64, lead + (n_out,), elements=STACK_FLOAT))
+        stacked.append(Layer(w, b))
+        for s in range(members):
+            single[s].append(Layer(w[s], b[s]) if lead else stacked[-1])
+    return Network(stacked), [Network(layers) for layers in single]
+
+
+def _assert_members_match(stack, singles):
+    """Each member of the stack has its single network's text."""
+    members = unstack(stack)
+    assert len(members) == len(singles)
+    for got, want in zip(members, singles):
+        assert network_to_text(got) == network_to_text(want)
+
+
+@PROPERTY
+@given(st.data())
+def test_unstack_gives_the_members_in_canonical_form(data):
+    members = data.draw(st.integers(1, 4))
+    stack, singles = _stack_of(data.draw, _dims(data.draw), members)
+    assume(stack.members is not None)
+    _assert_members_match(stack, singles)
+
+
+@pytest.mark.parametrize("branch_depth", [1, 2, 3])
+@PROPERTY
+@given(data=st.data())
+def test_add_compose_on_a_stack_is_add_compose_per_member(branch_depth, data):
+    members = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(1, 3))
+    d_aux = data.draw(st.integers(1, 2))
+    base_hidden = data.draw(st.lists(st.integers(1, 4), max_size=2))
+    base, base_members = _stack_of(data.draw, [d] + base_hidden + [d], members)
+    hidden = [data.draw(st.integers(1, 4)) for _ in range(branch_depth - 1)]
+    k = data.draw(st.integers(1, 3))
+    branches = [
+        _net_of(data.draw, [d + d_aux] + hidden + [d], STACK_FLOAT) for _ in range(k)
+    ]
+    u = data.draw(arrays(np.float64, (members, d_aux), elements=STACK_FLOAT))
+    coeffs = data.draw(arrays(np.float64, (members, k), elements=STACK_FLOAT))
+    stack = add_compose(base, branches, u, coeffs)
+    _assert_members_match(
+        stack,
+        [add_compose(b, branches, u[s], coeffs[s]) for s, b in enumerate(base_members)],
+    )
+
+
+@PROPERTY
+@given(st.data())
+def test_fold_affine_on_a_stack_is_fold_affine_per_member(data):
+    members = data.draw(st.integers(1, 4))
+    dims = _dims(data.draw)
+    stack, singles = _stack_of(data.draw, dims, members)
+    assume(stack.members is not None)
+    rows = data.draw(st.integers(1, 3))
+    post = data.draw(arrays(np.float64, (rows, dims[-1]), elements=STACK_FLOAT))
+    post_vec = data.draw(arrays(np.float64, (rows,), elements=STACK_FLOAT))
+    pre = data.draw(arrays(np.float64, (dims[0], rows), elements=STACK_FLOAT))
+    pre_vec = data.draw(arrays(np.float64, (dims[0],), elements=STACK_FLOAT))
+    _assert_members_match(
+        fold_affine(stack, "post", post, post_vec),
+        [fold_affine(net, "post", post, post_vec) for net in singles],
+    )
+    _assert_members_match(
+        fold_affine(stack, "pre", pre, pre_vec),
+        [fold_affine(net, "pre", pre, pre_vec) for net in singles],
+    )
+
+
+@PROPERTY
+@given(st.data())
+def test_compose_of_a_shared_outer_and_a_stack_is_compose_per_member(data):
+    members = data.draw(st.integers(1, 4))
+    dims = _dims(data.draw)
+    stack, singles = _stack_of(data.draw, dims, members)
+    assume(stack.members is not None)
+    outer = _net_of(data.draw, [dims[-1]] + _dims(data.draw)[1:], STACK_FLOAT)
+    _assert_members_match(compose(outer, stack), [compose(outer, net) for net in singles])
+
+
+@PROPERTY
+@given(st.data())
+def test_combine_of_stacks_is_combine_per_member(data):
+    members = data.draw(st.integers(1, 4))
+    dims = _dims(data.draw)
+    n_nets = data.draw(st.integers(1, 3))
+    pairs = [_stack_of(data.draw, dims, members) for _ in range(n_nets)]
+    assume(any(stack.members is not None for stack, _ in pairs))
+    coeffs = data.draw(st.lists(STACK_FLOAT, min_size=n_nets, max_size=n_nets))
+    _assert_members_match(
+        combine(coeffs, [stack for stack, _ in pairs]),
+        [combine(coeffs, [singles[s] for _, singles in pairs]) for s in range(members)],
+    )

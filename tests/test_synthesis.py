@@ -8,12 +8,18 @@ from stiffnet import (
     Network,
     SynthesisBudget,
     add_compose,
+    combine,
+    compose,
+    fold_affine,
     identity_net,
     l2_error,
+    make_controlled_relu_drift,
     make_galerkin_heat,
     make_ou,
     make_quadratic_cost,
+    make_relu_drift_system,
     mc_reference,
+    network_to_text,
     plan_budget,
     realize,
     truncation_radius,
@@ -258,8 +264,61 @@ def test_unroll_is_one_weighted_add_compose_per_step(monkeypatch):
     budget = _budget(4, 3)
     cost = make_quadratic_cost(np.ones(2), budget.radius, 1e-3)
     unroll_value_net(rec.mu_net, rec.sigma_col_nets, cost.net, rec.system, budget, 7)
-    # one weighted step per path and step; one combine averages the paths
-    assert calls == {"add_compose": 4 * 3, "combine": 1}
+    # one weighted step per step for all paths; one combine averages the paths
+    assert calls == {"add_compose": 4, "combine": 1}
+
+
+def _per_path_unroll(mu_net, sigma_col_nets, cost_net, sys, budget, seed, actions=None):
+    """Reference: the unroll one path and one step at a time on single networks."""
+    from stiffnet.sde import ImplicitFactor, PathBundle
+
+    d, h = sys.d, budget.h
+    bundle = PathBundle(seed, budget.paths, budget.steps, d, h)
+    inv = ImplicitFactor(sys.A, h).inverse()
+    branches = [_as_branch(net, d) for net in [mu_net] + list(sigma_col_nets)]
+    blocks = [bundle.increments(n) for n in range(budget.steps)]
+    path_nets = []
+    for m in range(budget.paths):
+        psi = fold_affine(identity_net(d, 1), "post", inv)
+        for n in range(budget.steps):
+            u = [n * h] + ([] if actions is None else list(actions[n]))
+            psi = add_compose(psi, branches, u, [h] + list(blocks[n][m]))
+            psi = fold_affine(psi, "post", inv)
+        path_nets.append(compose(cost_net, psi))
+    return combine([1.0 / budget.paths] * budget.paths, path_nets)
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        make_ou(2, decay=0.5, noise=0.3),
+        make_ou(3, decay=0.5, noise=0.5, sigma_kind="diag"),
+        make_galerkin_heat(3, diffusivity=0.5, drift_scale=0.4, noise_scale=0.2),
+        make_relu_drift_system(2, l_mu=0.5, noise_scale=0.1),
+    ],
+    ids=["ou-const", "ou-diag", "galerkin-heat", "relu-drift"],
+)
+def test_stacked_unroll_is_the_per_path_unroll_byte_for_byte(recipe):
+    d = recipe.system.d
+    budget = _budget(4, 5)
+    cost = make_quadratic_cost(np.ones(d), budget.radius, 1e-3)
+    args = (recipe.mu_net, recipe.sigma_col_nets, cost.net, recipe.system, budget, 3)
+    psi, _ = unroll_value_net(*args)
+    assert network_to_text(psi) == network_to_text(_per_path_unroll(*args))
+
+
+def test_stacked_unroll_of_action_plans_is_the_per_plan_unroll_byte_for_byte():
+    rec = make_controlled_relu_drift(2, m1=1, m2=2)
+    budget = _budget(4, 5)
+    cost = make_quadratic_cost(np.ones(2), budget.radius, 1e-3)
+    args = (rec.mu_net, rec.sigma_col_nets, cost.net, rec.system, budget, 3)
+    # three plans of (u1, u2) per step, one with all actions zero
+    plans = np.random.default_rng(2).choice([-0.5, 0.0, 0.25, 1.0], size=(3, 4, 3))
+    plans[1] = 0.0
+    nets, _ = unroll_value_net(*args, actions=plans)
+    assert len(nets) == 3
+    for net, plan in zip(nets, plans):
+        assert network_to_text(net) == network_to_text(_per_path_unroll(*args, plan))
 
 
 def test_unroll_report_and_size_bound():

@@ -147,7 +147,9 @@ def test_controlled_recipe_accepts_action_input():
     t, x, u = 0.3, rng.normal(size=2), rng.normal(size=2)
     inp = np.concatenate([[t], x, u])
     got = realize(rec.mu_net, inp)
-    want = rec.controlled_mu(t, x, u[:1], u[1:])
+    # the default drift l_mu relu(x) + B1 u1 + B2 u2, with l_mu = 0.5, B1 = 1, B2 = -1
+    b_all = np.hstack([np.ones((2, 1)), -np.ones((2, 1))])
+    want = 0.5 * np.maximum(x, 0.0) + b_all @ u
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
