@@ -34,7 +34,16 @@ import math
 
 import numpy as np
 
-from .network import Layer, Network, NetworkShapeError, _csr, _dense, _matvec, fold_affine
+from .network import (
+    Layer,
+    Network,
+    NetworkShapeError,
+    _csr,
+    _dense,
+    _matvec,
+    _member_count,
+    fold_affine,
+)
 
 __all__ = [
     "arch_signature",
@@ -320,13 +329,10 @@ def add_compose(base, branches, u, coeffs=None):
         raise NetworkShapeError(
             "add_compose: u has length %d but branches expect %d" % (u.shape[-1], d_aux)
         )
-    counts = {a.shape[0] for a in (u, coeffs) if a.ndim == 2}
-    counts |= {base.members} - {None}
-    if len(counts) > 1:
-        raise NetworkShapeError(
-            "add_compose: base, u and coeffs disagree on the member count: %s"
-            % sorted(counts)
-        )
+    _member_count(
+        [base.members] + [a.shape[0] for a in (u, coeffs) if a.ndim == 2],
+        "add_compose: base, u and coeffs",
+    )
     # one number per branch, or one (S, 1) column per branch for a stack
     coeffs = list(coeffs.T[..., None]) if coeffs.ndim == 2 else list(coeffs)
     splits = [_split_first(br.layers[0], d) for br in branches]

@@ -113,6 +113,16 @@ def _dense(w):
     return out
 
 
+def _member_count(counts, what):
+    """The one member count among `counts` (None for a single part), or None."""
+    counts = set(counts) - {None}
+    if len(counts) > 1:
+        raise NetworkShapeError(
+            "%s disagree on the member count: %s" % (what, sorted(counts))
+        )
+    return counts.pop() if counts else None
+
+
 def _as_csr(weight):
     """Canonical read-only CSR arrays of a dense matrix; CSR arrays pass through."""
     if isinstance(weight, _Csr):
@@ -155,16 +165,13 @@ class Layer:
                 "weight rows (%d) must equal bias length (%d)"
                 % (w.shape[0], bias.shape[-1])
             )
-        counts = {a.shape[0] for a in (w.data, bias) if a.ndim == 2}
-        if len(counts) > 1:
-            raise NetworkShapeError(
-                "stacked weight and bias disagree on the member count: %s"
-                % sorted(counts)
-            )
+        members = _member_count(
+            [a.shape[0] for a in (w.data, bias) if a.ndim == 2], "stacked weight and bias"
+        )
         for name, value in zip(_Csr._fields, w):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "bias", _freeze(bias))
-        object.__setattr__(self, "members", counts.pop() if counts else None)
+        object.__setattr__(self, "members", members)
         object.__setattr__(self, "_csr", None)
 
     def __setattr__(self, name, value):
@@ -198,8 +205,6 @@ class Layer:
         return self.shape[1]
 
     def __repr__(self):
-        if self.members is not None:
-            return "Layer(%d x %d, stack of %d)" % (self.shape + (self.members,))
         return "Layer(%d x %d)" % self.shape
 
 
@@ -224,13 +229,9 @@ class Network:
                     "layer %d expects %d inputs but layer %d produces %d"
                     % (l + 1, layers[l].fan_in, l, layers[l - 1].fan_out)
                 )
-        counts = {l.members for l in layers} - {None}
-        if len(counts) > 1:
-            raise NetworkShapeError(
-                "stacked layers disagree on the member count: %s" % sorted(counts)
-            )
+        members = _member_count([l.members for l in layers], "stacked layers")
         object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "members", counts.pop() if counts else None)
+        object.__setattr__(self, "members", members)
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
@@ -270,11 +271,10 @@ class Network:
         )
 
     def __repr__(self):
-        return "Network(depth=%d, dims=%s, size=%d%s)" % (
+        return "Network(depth=%d, dims=%s, size=%d)" % (
             self.depth,
             self.dims,
             self.size,
-            "" if self.members is None else ", stack of %d" % self.members,
         )
 
 

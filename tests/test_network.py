@@ -9,6 +9,7 @@ from stiffnet import (
     Layer,
     Network,
     NetworkShapeError,
+    add_compose,
     fold_affine,
     identity_net,
     load_network,
@@ -267,3 +268,10 @@ def test_stacked_parts_must_agree_on_the_member_count():
         Layer(np.zeros((2, 1, 1)), np.zeros((3, 1)))
     with pytest.raises(NetworkShapeError, match="member count"):
         Network([Layer(np.ones((2, 1, 1)), np.zeros(1)), Layer(np.ones((3, 1, 1)), [0.0])])
+    # one member per row of u and coeffs, and as many rows as the base has members
+    base = Network([Layer(np.ones((2, 1, 1)), np.zeros(1))])
+    branch = Network([Layer(np.ones((1, 2)), np.zeros(1))])
+    with pytest.raises(NetworkShapeError, match="member count"):
+        add_compose(base, [branch], np.zeros((3, 1)))
+    with pytest.raises(NetworkShapeError, match="member count"):
+        add_compose(base, [branch], np.zeros(1), np.ones((3, 1)))
