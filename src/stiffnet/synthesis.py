@@ -319,6 +319,12 @@ def unroll_value_net(
     h = budget.h
     n_steps = budget.steps
     n_paths = budget.paths
+    if actions is not None:
+        actions = np.asarray(actions, dtype=np.float64)
+        if actions.ndim != 3 or actions.shape[1] != n_steps:
+            raise ValueError(
+                "actions must be a (P, N, m) array of action plans with N = %d" % n_steps
+            )
     n_plans = 1 if actions is None else len(actions)
     bundle = PathBundle(seed, n_paths, n_steps, d, h)
     factor = ImplicitFactor(sys.A, h)

@@ -317,6 +317,10 @@ def test_stacked_unroll_of_action_plans_is_the_per_plan_unroll_byte_for_byte():
     plans[1] = 0.0
     nets, _ = unroll_value_net(*args, actions=plans)
     assert len(nets) == 3
+    # one plan must still come as a (1, N, m) stack, with one row per step
+    for bad in (plans[0], plans[:, :3]):
+        with pytest.raises(ValueError, match="action plans"):
+            unroll_value_net(*args, actions=bad)
     for net, plan in zip(nets, plans):
         assert network_to_text(net) == network_to_text(_per_path_unroll(*args, plan))
 
