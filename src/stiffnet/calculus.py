@@ -43,6 +43,7 @@ from .network import (
     _matvec,
     _member_count,
     fold_affine,
+    unstack,
 )
 
 __all__ = [
@@ -162,14 +163,6 @@ def _carried(layer):
     )
 
 
-def _stacked(layers):
-    """One shared input: the layers' rows stacked."""
-    return Layer(
-        _vstack([1.0] * len(layers), layers),
-        _cat([l.bias for l in layers]),
-    )
-
-
 def _side_by_side(layers):
     """Block-diagonal: each layer acts on its own block of the input."""
     return Layer(_block_diag(layers), _cat([l.bias for l in layers]))
@@ -184,6 +177,135 @@ def _summed(coeffs, layers):
         _hstack(coeffs, layers),
         sum(c * l.bias for c, l in zip(coeffs, layers)),
     )
+
+
+# --- member-axis blocks ---------------------------------------------------
+#
+# The members of a stack share one pattern, so a block structure over them
+# tiles that pattern once and moves the values of every member in one array
+# operation; no network is built per member.  `groups` is a (Q, G) integer
+# array: member q of the result is built from members groups[q, 0], ...,
+# groups[q, G-1] of the operand, bit for bit as the layer builders above
+# would build it from those members as G single layers.  Lists of networks
+# reach these builders through _stack_nets.
+
+
+def _grouped(a, groups, ndim):
+    """a[groups] for a stacked array (one more axis than `ndim`), else G copies of a."""
+    if a.ndim > ndim:
+        return a[groups]
+    return np.broadcast_to(a, (groups.shape[1],) + a.shape)
+
+
+def _left_sum(terms, axis):
+    """The sum of `terms` along `axis`, left to right from 0, as sum() adds them."""
+    zero = np.zeros_like(np.take(terms, [0], axis=axis))
+    acc = np.add.accumulate(np.concatenate([zero, terms], axis=axis), axis=axis)
+    return np.take(acc, -1, axis=axis)
+
+
+def _member_blocks(layer, groups, col_step):
+    """The rows of each group's members one under another.
+
+    Block k's columns are shifted by k * col_step: 0 gives one shared
+    input, the layer's width the block-diagonal (as ``_side_by_side``).
+    """
+    g = groups.shape[1]
+    nnz = layer.data.shape[-1]
+    block = np.arange(g)[:, None]
+    indices = (layer.indices + col_step * block).ravel()
+    indptr = np.append((layer.indptr[:-1] + nnz * block).ravel(), g * nnz)
+    shape = (g * layer.shape[0], layer.shape[1] + (g - 1) * col_step)
+    data = _grouped(layer.data, groups, 1)
+    bias = _grouped(layer.bias, groups, 1)
+    return Layer(
+        _csr(data.reshape(data.shape[:-2] + (-1,)), indices, indptr, shape),
+        bias.reshape(bias.shape[:-2] + (-1,)),
+    )
+
+
+def _member_sum(layer, groups, coeffs):
+    """One output: sum_k coeffs[k] times member groups[q, k] on input block k.
+
+    The layout and the left-to-right bias sum are those of ``_summed``.
+    """
+    g = groups.shape[1]
+    rows, cols = layer.shape
+    # each row holds its entries block by block, as _hstack lays them out
+    row_of = np.tile(np.repeat(np.arange(rows), np.diff(layer.indptr)), g)
+    order = np.argsort(row_of, kind="stable")
+    indices = (layer.indices + cols * np.arange(g)[:, None]).ravel()[order]
+    c = np.asarray(coeffs, dtype=np.float64)[:, None]
+    data = c * _grouped(layer.data, groups, 1)
+    data = data.reshape(data.shape[:-2] + (-1,))[..., order]
+    indptr = g * layer.indptr.astype(np.int64)
+    bias = _left_sum(c * _grouped(layer.bias, groups, 1), -2)
+    return Layer(_csr(data, indices, indptr, (rows, g * cols)), bias)
+
+
+def _parallel_members(layers, groups):
+    """The layers of each group's members side by side on one shared input."""
+    return [_member_blocks(layers[0], groups, 0)] + [
+        _member_blocks(l, groups, l.fan_in) for l in layers[1:]
+    ]
+
+
+def _combine_members(coeffs, stack):
+    """combine over the member axis: the members form len(coeffs) consecutive blocks."""
+    g = len(coeffs)
+    s = stack.members or g
+    if s % g:
+        raise ValueError("combine: %d members do not form %d equal blocks" % (s, g))
+    groups = np.arange(s).reshape(g, s // g).T
+    last = stack.layers[-1]
+    if stack.depth == 1:
+        c = np.asarray(coeffs)[:, None]
+        w = _left_sum(c[..., None] * _grouped(_dense(last), groups, 2), -3)
+        return Network([Layer(w, _left_sum(c * _grouped(last.bias, groups, 1), -2))])
+    layers = _parallel_members(stack.layers[:-1], groups)
+    return Network(layers + [_member_sum(last, groups, coeffs)])
+
+
+def _stacked_layers(layers, q):
+    """One layer whose members k q .. k q + q - 1 are those of layers[k].
+
+    A single layer counts as q equal members.  The members' values are laid
+    out on the union of the layers' patterns, and a single layer that every
+    operand shares (the same object) stays shared.
+    """
+    first = layers[0]
+    if first.members is None and all(l is first for l in layers):
+        return first
+    rows, cols = first.shape
+    keys = [
+        np.repeat(np.arange(rows), np.diff(l.indptr)) * cols + l.indices for l in layers
+    ]
+    union = np.unique(np.concatenate(keys))
+    data = np.zeros((len(layers), q, len(union)))
+    for block, key, l in zip(data, keys, layers):
+        block[:, np.searchsorted(union, key)] = l.data
+    indptr = np.searchsorted(union, np.arange(rows + 1) * cols)
+    bias = np.array([np.broadcast_to(l.bias, (q, rows)) for l in layers])
+    weight = _csr(data.reshape(len(layers) * q, -1), union % cols, indptr, first.shape)
+    return Layer(weight, bias.reshape(-1, rows))
+
+
+def _stack_nets(nets, what):
+    """One stack of the nets' members, net k's q members forming block k.
+
+    The nets share one architecture; the stacks among them share one member
+    count q, and a single network counts as q equal members.
+    """
+    _require_same_arch(nets, what)
+    q = _member_count([n.members for n in nets], "%s operands" % what) or 1
+    return Network([_stacked_layers(ls, q) for ls in zip(*(n.layers for n in nets))])
+
+
+def _as_operands(result, nets):
+    """The single network of a one-member result when every operand is single."""
+    if all(n.members is None for n in nets):
+        return unstack(result)[0]
+    return result
 
 
 def identity_net(d, L):
@@ -250,28 +372,28 @@ def combine(coeffs, nets):
 
     All nets must share one architecture.  Depth is unchanged; hidden
     widths multiply by M, so size <= M^2 * C(nets[0]).
+
+    `nets` may also be one stack of M * Q members, read as the list of its
+    M consecutive blocks of Q members: the result is the stack of Q
+    members, member q combining members q, Q + q, ..., (M-1) Q + q.  It is
+    built from the shared pattern, with no network per member.
     """
     coeffs = [float(c) for c in coeffs]
+    if isinstance(nets, Network):
+        return _combine_members(coeffs, nets)
     nets = list(nets)
     if len(coeffs) != len(nets) or not nets:
         raise ValueError("combine: need matching nonempty coeffs and nets")
-    _require_same_arch(nets, "combine")
-    depth = nets[0].depth
-    if depth == 1:
-        w = sum(c * _dense(n.layers[0]) for c, n in zip(coeffs, nets))
-        b = sum(c * n.layers[0].bias for c, n in zip(coeffs, nets))
-        return Network([Layer(w, b)])
-    layers = [_stacked([n.layers[0] for n in nets])]
-    layers += [_side_by_side([n.layers[l] for n in nets]) for l in range(1, depth - 1)]
-    layers.append(_summed(coeffs, [n.layers[-1] for n in nets]))
-    return Network(layers)
+    stack = _stack_nets(nets, "combine")
+    return _as_operands(_combine_members(coeffs, stack), nets)
 
 
 def parallel_shared(net_a, net_b):
     """Network realizing x -> (net_a(x), net_b(x)); size <= 2(C_a + C_b)."""
-    _require_same_arch([net_a, net_b], "parallel_shared")
-    pairs = list(zip(net_a.layers, net_b.layers))
-    return Network([_stacked(pairs[0])] + [_side_by_side(p) for p in pairs[1:]])
+    stack = _stack_nets([net_a, net_b], "parallel_shared")
+    q = (stack.members or 2) // 2
+    pairs = np.arange(2 * q).reshape(2, q).T
+    return _as_operands(Network(_parallel_members(stack.layers, pairs)), [net_a, net_b])
 
 
 # keyed by the layer object: the unroll passes the same branches at every
@@ -402,32 +524,56 @@ def pad_to_pow2(nets):
     return nets + [nets[-1]] * (n - len(nets))
 
 
+def _tree_leaves(nets, what):
+    """The leaves of a tree as one stack, after the tree's checks."""
+    n = len(nets)
+    if n == 0 or (n & (n - 1)) != 0:
+        raise ValueError("%s needs a power-of-two count (see pad_to_pow2)" % what)
+    if nets[0].dim_out != 1:
+        raise NetworkShapeError("%s operands must have scalar output" % what)
+    return _stack_nets(nets, what)
+
+
+def _max_blocks(stack, k):
+    """Member-wise maximum of the k consecutive blocks of a stack's members.
+
+    k is a power of two.  Each level pairs blocks 2j and 2j+1 and composes
+    the exact max net on top, so the pairs are those of max_tree's halves.
+    """
+    q = (stack.members or k) // k
+    while k > 1:
+        k //= 2
+        pairs = np.arange(2 * k * q).reshape(k, 2, q).transpose(0, 2, 1).reshape(-1, 2)
+        stack = compose(psi_max_net(), Network(_parallel_members(stack.layers, pairs)))
+    return stack
+
+
+_NEG = np.array([[-1.0]])
+
+
+def _min_blocks(stack, k):
+    """Member-wise minimum of the k consecutive blocks, as min(f) = -max(-f)."""
+    return fold_affine(_max_blocks(fold_affine(stack, "post", _NEG), k), "post", _NEG)
+
+
 def max_tree(nets):
     """Pointwise maximum of 2^n same-architecture scalar nets.
 
     Pairwise: parallelize two operands, compose with the exact 2-input max
-    net, recurse.  Size <= 8^n (C + 34/7) - 34/7.
+    net, recurse.  Size <= 8^n (C + 34/7) - 34/7.  The leaves form one
+    stack, and each level pairs all of its operands at once.
     """
     nets = list(nets)
-    n = len(nets)
-    if n == 0 or (n & (n - 1)) != 0:
-        raise ValueError("max_tree needs a power-of-two count (see pad_to_pow2)")
-    _require_same_arch(nets, "max_tree")
-    if nets[0].dim_out != 1:
-        raise NetworkShapeError("max_tree operands must have scalar output")
-    if n == 1:
+    leaves = _tree_leaves(nets, "max_tree")
+    if len(nets) == 1:
         return nets[0]
-    half = n // 2
-    left = max_tree(nets[:half])
-    right = max_tree(nets[half:])
-    return compose(psi_max_net(), parallel_shared(left, right))
+    return _as_operands(_max_blocks(leaves, len(nets)), nets)
 
 
 def min_tree(nets):
     """Pointwise minimum via min(f) = -max(-f); same size bound as max_tree."""
-    neg = np.array([[-1.0]])
-    flipped = [fold_affine(net, "post", neg) for net in nets]
-    return fold_affine(max_tree(flipped), "post", neg)
+    nets = list(nets)
+    return _as_operands(_min_blocks(_tree_leaves(nets, "min_tree"), len(nets)), nets)
 
 
 def max_tree_bound(leaf_size, n_levels):

@@ -642,9 +642,9 @@ def run_game(cfg, out_dir, seed):
 
     grid = StrategyGrid(times=times, u1_actions=u1, u2_actions=u2, g=g_cost)
     s1, s2 = enumerate_strategies(grid)
-    w_nets, _ = pair_value_nets(s1, s2, recipe, cost, budget, seed, grid)
-    leaf_size = w_nets[-1][-1].size
-    psi = infsup_net(w_nets)
+    pairs, _ = pair_value_nets(s1, s2, recipe, cost, budget, seed, grid)
+    leaf_size = pairs.size
+    psi = infsup_net(pairs, len(s2))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x6A3E)))
     xs = rng.uniform(0.0, 1.0, (int(cfg["n_points"]), d))
     directs = brute_force_game_value(recipe, grid, cost, budget, seed, xs)

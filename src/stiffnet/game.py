@@ -2,16 +2,19 @@
 
 Two players pick piecewise-constant deterministic strategies on a finite
 grid of intervention times (a subset of the Euler grid), each drawn from a
-finite action set.  Each strategy pair is resolved once to the array of
-action pairs its Euler steps apply; the unrolling and the brute-force
-oracle both read that array.  For every pair a value network is
-synthesized by the same unrolling as the uncontrolled case, with each
-step's actions frozen into branch biases and the control cost folded into
-the output bias.  All pairs share one architecture, one sparsity pattern
-and one Brownian realization, so one stacked unroll builds them all.
-The game value network is then a min-tree over player-1 strategies of
-max-trees over player-2 strategies, which is exact, so it must agree with
-brute-force enumeration to floating point.
+finite action set.  The strategy pairs are resolved once, in row-major
+order, to one array of the action pairs their Euler steps apply; the
+unrolling and the brute-force oracle both read that array.  For every
+pair a value network is synthesized by the same unrolling as the
+uncontrolled case, with each step's actions frozen into branch biases and
+the control cost added to the output bias.  All pairs share one
+architecture, one sparsity pattern and one Brownian realization, so one
+stacked unroll builds them all as the members of one stack.  The game
+value network is then a min-tree over player-1 strategies of max-trees
+over player-2 strategies, built level by level on that stack, which is
+exact, so it must agree with brute-force enumeration to floating point.
+The oracle is one direct simulation of the scheme: every start point
+under every pair on the same paths, with no value network read.
 """
 
 import itertools
@@ -20,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import max_tree, min_tree, pad_to_pow2
-from .network import fold_affine
+from .calculus import _max_blocks, _min_blocks, _stack_nets
+from .network import Layer, Network, NetworkShapeError, _Csr, _take, unstack
 from .synthesis import coefficients_from_nets, mc_reference, unroll_value_net
 
 __all__ = [
@@ -96,35 +99,36 @@ def enumerate_strategies(grid):
     return s1, s2
 
 
-def _step_actions(grid, budget, strat1, strat2):
-    """(N, m1+m2) array whose row n is the (u1, u2) pair applied at step n.
+def _resolve_pairs(grid, budget, strats1, strats2):
+    """Every strategy pair's per-step actions and control cost, row-major.
 
-    Step n lies in the interval of the last intervention at or before it;
-    an intervention time off the Euler grid raises ValueError.
+    Pair p = i * len(strats2) + j is (strats1[i], strats2[j]).  Returns the
+    (P, N, m1+m2) array whose row n of plan p is the (u1, u2) pair applied
+    at step n, and the (P,) costs g(u1_seq, u2_seq).  Step n lies in the
+    interval of the last intervention at or before it; an intervention
+    time off the Euler grid raises ValueError.
     """
     starts = grid.check_on_grid(budget.horizon, budget.steps)
-    pairs = np.hstack([grid.u1_actions[list(strat1)], grid.u2_actions[list(strat2)]])
     interval = np.searchsorted(starts, np.arange(budget.steps), side="right") - 1
-    return pairs[interval]
-
-
-def _control_cost(grid, strat1, strat2):
-    """g(u1_seq, u2_seq) for one strategy pair."""
-    return float(grid.g(grid.u1_actions[list(strat1)], grid.u2_actions[list(strat2)]))
+    pairs = list(itertools.product(strats1, strats2))
+    u1 = grid.u1_actions[np.array([a for a, _ in pairs])]
+    u2 = grid.u2_actions[np.array([b for _, b in pairs])]
+    costs = np.array([float(grid.g(a, b)) for a, b in zip(u1, u2)])
+    return np.concatenate([u1, u2], axis=-1)[:, interval], costs
 
 
 def pair_value_nets(strats1, strats2, recipe, cost, budget, seed, grid):
     """Value networks of every strategy pair (shared noise, shared arch).
 
-    Rows follow strats1 and columns strats2.  One stacked unroll builds
-    all pairs: it is the uncontrolled unrolling with each pair's active
-    action vector joining the per-step branch constants.  Each pair's
-    control cost g is then folded into its own output bias.  Returns the
-    rows of networks and the unroll report.
+    One stacked unroll builds all pairs: it is the uncontrolled unrolling
+    with each pair's active action vector joining the per-step branch
+    constants.  Each pair's control cost g is then added to its own output
+    bias, for all pairs in one array operation.  Returns the stack of the
+    pair networks, member i * len(strats2) + j for the pair
+    (strats1[i], strats2[j]), and the unroll report.
     """
-    pairs = list(itertools.product(strats1, strats2))
-    actions = np.array([_step_actions(grid, budget, a, b) for a, b in pairs])
-    nets, report = unroll_value_net(
+    actions, costs = _resolve_pairs(grid, budget, strats1, strats2)
+    stack, report = unroll_value_net(
         recipe.mu_net,
         recipe.sigma_col_nets,
         cost.net,
@@ -133,16 +137,12 @@ def pair_value_nets(strats1, strats2, recipe, cost, budget, seed, grid):
         seed,
         actions=actions,
     )
-    for i, (strat1, strat2) in enumerate(pairs):
-        shift = _control_cost(grid, strat1, strat2)
-        # a zero cost leaves the output bias untouched
-        if shift:
-            psi = nets[i]
-            nets[i] = fold_affine(
-                psi, "post", np.eye(psi.dim_out), np.full(psi.dim_out, shift)
-            )
-    n2 = len(strats2)
-    return [nets[i : i + n2] for i in range(0, len(nets), n2)], report
+    last = stack.layers[-1]
+    # adding a zero cost keeps the bias: the average's sums start at +0.0,
+    # so no output bias is -0.0
+    bias = last.bias + costs[:, None]
+    shifted = Layer(_Csr(last.data, last.indices, last.indptr, last.shape), bias)
+    return Network(stack.layers[:-1] + (shifted,)), report
 
 
 def controlled_value_net(strat1, strat2, recipe, cost, budget, seed, grid):
@@ -150,40 +150,71 @@ def controlled_value_net(strat1, strat2, recipe, cost, budget, seed, grid):
 
     The resulting architecture does not depend on the chosen strategies.
     """
-    rows, report = pair_value_nets([strat1], [strat2], recipe, cost, budget, seed, grid)
-    return rows[0][0], report
+    stack, report = pair_value_nets([strat1], [strat2], recipe, cost, budget, seed, grid)
+    return unstack(stack)[0], report
 
 
-def infsup_net(w_nets):
+def _pair_stack(w_nets, n_cols):
+    """(stack, rows, columns) of a grid given as lists of rows or as a stack."""
+    if n_cols is not None:
+        if not w_nets.members or w_nets.members % n_cols:
+            raise ValueError("infsup_net: the stack is not rows of %d pairs" % n_cols)
+        return w_nets, w_nets.members // n_cols, n_cols
+    rows = [list(row) for row in w_nets]
+    if not rows or any(len(row) != len(rows[0]) for row in rows) or not rows[0]:
+        raise ValueError("infsup_net needs nonempty rows of one length")
+    nets = [net for row in rows for net in row]
+    if any(net.members is not None for net in nets):
+        raise NetworkShapeError("infsup_net takes rows of single networks")
+    return _stack_nets(nets, "infsup_net"), len(rows), len(rows[0])
+
+
+def infsup_net(w_nets, n_cols=None):
     """min over rows of max over columns of a 2-D grid of value networks.
 
-    w_nets is a list (player-1 strategies) of lists (player-2 strategies)
-    of same-architecture scalar networks; groups are padded to powers of
-    two by repeating the last element, which maximum/minimum ignore.
+    w_nets is a list (player-1 strategies) of equal-length lists
+    (player-2 strategies) of same-architecture single scalar networks, or
+    the stack of them in row-major order, as pair_value_nets returns it,
+    with the row length n_cols.  Rows are padded to powers of two by
+    repeating their last entry, and so are the row maxima; maximum and
+    minimum ignore the repeats.  The grid stays one stack: each level of
+    the max and min trees pairs all of its members at once.
     """
-    row_nets = [max_tree(pad_to_pow2(row)) for row in w_nets]
-    return min_tree(pad_to_pow2(row_nets))
+    stack, n_rows, n_cols = _pair_stack(w_nets, n_cols)
+    width = 1 << (n_cols - 1).bit_length()
+    height = 1 << (n_rows - 1).bit_length()
+    # leaf j * n_rows + i is entry (i, j) with j clamped to the row: the
+    # column blocks pair level by level into one member per row
+    cols = np.minimum(np.arange(width), n_cols - 1)
+    leaves = _take(stack, (cols[:, None] + n_cols * np.arange(n_rows)).ravel())
+    row_max = _take(_max_blocks(leaves, width), np.minimum(np.arange(height), n_rows - 1))
+    return unstack(_min_blocks(row_max, height))[0]
 
 
 def brute_force_game_value(recipe, grid, cost, budget, seed, x):
     """inf over u1 of sup over u2 of the simulated value, shared seed.
 
-    One simulation per strategy pair covers every start point: a point x of
-    shape (d,) gives a float, a batch (P, d) a (P,) array.
+    A direct simulation of the scheme that reads no value network.  One
+    simulation steps every start point under every strategy pair on the
+    same paths: start point k under pair p is row k * P + p, and its
+    coefficient nets read that pair's action row of the current step.  A
+    point x of shape (d,) gives a float, a batch (X, d) an (X,) array.
     """
     s1, s2 = enumerate_strategies(grid)
-
-    def value(strat1, strat2):
-        actions = _step_actions(grid, budget, strat1, strat2)
-        # the scheme calls the coefficients at grid times t = n h only
-        action = lambda t: actions[int(round(t / budget.h))]
-        coeffs = coefficients_from_nets(recipe.mu_net, recipe.sigma_col_nets, action)
-        direct = mc_reference(recipe.system, coeffs, cost, budget, seed, x)
-        return direct + _control_cost(grid, strat1, strat2)
-
-    values = np.array([[value(strat1, strat2) for strat2 in s2] for strat1 in s1])
-    best = values.max(axis=1).min(axis=0)
-    return best if best.ndim else float(best)
+    plans, costs = _resolve_pairs(grid, budget, s1, s2)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ValueError("x must be one start point (d,) or a batch (X, d)")
+    points = x.reshape(-1, x.shape[-1])
+    starts = np.repeat(points, len(plans), axis=0)
+    plans = np.tile(plans, (len(points), 1, 1))
+    # the scheme calls the coefficients at grid times t = n h only
+    action = lambda t: plans[:, int(round(t / budget.h)), None]
+    coeffs = coefficients_from_nets(recipe.mu_net, recipe.sigma_col_nets, action)
+    direct = mc_reference(recipe.system, coeffs, cost, budget, seed, starts)
+    values = direct.reshape(len(points), -1) + costs
+    best = values.reshape(len(points), len(s1), len(s2)).max(axis=2).min(axis=1)
+    return best if x.ndim == 2 else float(best[0])
 
 
 def game_delta(eps, d, kappa0, n_interventions):

@@ -295,21 +295,22 @@ def _matvec(mat, vec):
     return np.matmul(mat, vec[..., None])[..., 0]
 
 
-def _members_at(net, index, weight=_Csr):
-    """The members `index` (an int or a slice) of a stack.
+def _pick(layer, index):
+    """Member `index` (an int), or the stack of members `index` (an integer
+    array), of a layer; a shared layer is returned as it is.
 
-    `weight` makes each stacked layer's CSR arrays: ``_Csr`` keeps the
-    pattern and views the values, ``_csr`` makes a single member canonical.
+    An entry that is zero in every picked member is dropped.
     """
+    if layer.members is None:
+        return layer
+    data = layer.data[index] if layer.data.ndim == 2 else layer.data
+    bias = layer.bias[index] if layer.bias.ndim == 2 else layer.bias
+    return Layer(_csr(data, layer.indices, layer.indptr, layer.shape), bias)
 
-    def pick(layer):
-        if layer.members is None:
-            return layer
-        data = layer.data[index] if layer.data.ndim == 2 else layer.data
-        bias = layer.bias[index] if layer.bias.ndim == 2 else layer.bias
-        return Layer(weight(data, layer.indices, layer.indptr, layer.shape), bias)
 
-    return Network([pick(l) for l in net.layers])
+def _take(net, index):
+    """The stack of the members `index` (an integer array) of a stack, in that order."""
+    return Network([_pick(l, index) for l in net.layers])
 
 
 def unstack(net):
@@ -320,7 +321,7 @@ def unstack(net):
     """
     if net.members is None:
         return [net]
-    return [_members_at(net, s, _csr) for s in range(net.members)]
+    return [Network([_pick(l, s) for l in net.layers]) for s in range(net.members)]
 
 
 def realize(net, x):

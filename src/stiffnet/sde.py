@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm, lu_factor, lu_solve
+from scipy.linalg import expm
 
 __all__ = [
     "StiffSystem",
@@ -330,8 +330,8 @@ class ImplicitFactor:
     def __init__(self, A, h):
         A = np.asarray(A, dtype=np.float64)
         self.h = float(h)
-        eye = np.eye(len(A))
-        self._inv = lu_solve(lu_factor(eye + self.h * A), eye)
+        # Fortran order makes the transpose that solve multiplies by C-contiguous
+        self._inv = np.asfortranarray(np.linalg.inv(np.eye(len(A)) + self.h * A))
         if not np.all(np.isfinite(self._inv)):
             raise np.linalg.LinAlgError("I + hA is singular; <x, Ax> >= 0 cannot hold")
 

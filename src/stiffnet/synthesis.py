@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import add_compose, combine, compose, identity_net
-from .network import _members_at, fold_affine, realize, unstack
+from .network import fold_affine, realize, unstack
 from .sde import (
     EulerConfig,
     ImplicitFactor,
@@ -252,17 +252,20 @@ def plan_cost(d, budget, kappa):
 def coefficients_from_nets(mu_net, sigma_col_nets, action=None):
     """Drift and noise callables evaluating the coefficient networks.
 
-    The networks take (t, x), followed by the action vector `action(t)`
-    when `action` is given; the callables take (t, x) with x batched over
-    paths.  The noise sum_j col_j(t, x) db_j is summed left to right.
+    The networks take (t, x), followed by the actions `action(t)` when
+    `action` is given; the callables take (t, x) with x batched over
+    paths.  The actions broadcast against x: one (m,) vector for every
+    path, or an array such as (P, 1, m) with one row per start point of an
+    x of shape (P, M, d).  The noise sum_j col_j(t, x) db_j is summed left
+    to right.
     """
 
     def augment(t, x):
         x = np.asarray(x, dtype=np.float64)
         cols = [np.full(x.shape[:-1] + (1,), t), x]
         if action is not None:
-            u = action(t)
-            cols.append(np.broadcast_to(u, x.shape[:-1] + (len(u),)))
+            u = np.asarray(action(t), dtype=np.float64)
+            cols.append(np.broadcast_to(u, x.shape[:-1] + u.shape[-1:]))
         return np.concatenate(cols, axis=-1)
 
     def mu(t, x):
@@ -304,16 +307,17 @@ def unroll_value_net(
     block, then post-fold (I+hA)^{-1}.  Compose with the cost network, then
     average the paths with one linear combination.  All paths share one
     architecture and one sparsity pattern, so they are built as one stack:
-    each step is one add_compose and one fold for every path at once.
+    each step is one add_compose and one fold for every path at once, and
+    the average is one combine over the stack's member axis.
 
     `actions`, when given, is a (P, N, m) array of P action plans: row n
     of plan p is appended to (t_n) as branch constants (the controlled
     variant).  The P plans share the paths' noise and join the stack, and
-    the result is then the list of their P networks.
+    the result is then the stack of their P networks, member p for plan p.
 
-    Returns (network, report), or (networks, report) when `actions` is
-    given; the report carries the size, the conservative size bound, and
-    the last-hidden-width audit of every unroll step.
+    Returns (network, report), or (stack, report) when `actions` is given;
+    the report carries the size, the conservative size bound, and the
+    last-hidden-width audit of every unroll step.
     """
     d = sys.d
     h = budget.h
@@ -337,7 +341,7 @@ def unroll_value_net(
     width_ok = True
 
     # member m * n_plans + p is path m under plan p, so each path's members
-    # are adjacent and the average over paths reads them as consecutive slices
+    # form one block of the stack and the average combines the blocks
     psi = fold_affine(identity_net(d, 1), "post", inv)
     for n in range(n_steps):
         # one scheme step: psi + h mu(t_n, psi) + sum_j db_j sigma_j(t_n, psi)
@@ -350,23 +354,20 @@ def unroll_value_net(
             width_ok = False
         psi = fold_affine(psi, "post", inv)
     psi = compose(cost_net, psi)
-
-    path_nets = [
-        _members_at(psi, slice(m * n_plans, (m + 1) * n_plans)) for m in range(n_paths)
-    ]
-    nets = unstack(combine([1.0 / n_paths] * n_paths, path_nets))
+    # the paths are the stack's n_paths blocks of n_plans members
+    psi = combine([1.0 / n_paths] * n_paths, psi)
 
     bound = unroll_size_bound(
         d, n_steps, n_paths, cost_net.size, [net.size for net in sigma_col_nets]
     )
-    size = nets[0].size
+    size = psi.size
     report = {
         "size": size,
         "size_bound": bound,
         "bound_ok": size <= bound,
         "width_condition_ok": width_ok,
     }
-    return (nets[0] if actions is None else nets), report
+    return (unstack(psi)[0] if actions is None else psi), report
 
 
 def unroll_size_bound(d, n_steps, n_paths, cost_size, sigma_col_sizes):

@@ -176,6 +176,15 @@ def test_combine_monte_carlo_average():
     _assert_exact(realize(avg, xs), want)
 
 
+def test_combine_sums_output_biases_left_to_right():
+    # past 8 terms numpy's pairwise summation would group the sum differently
+    rng = np.random.default_rng(13)
+    nets = [_random_net(rng, (2, 3, 1)) for _ in range(24)]
+    coeffs = rng.normal(size=24)
+    want = sum(c * n.layers[-1].bias for c, n in zip(coeffs, nets))
+    assert np.array_equal(combine(coeffs, nets).layers[-1].bias, want)
+
+
 def test_combine_dims_and_size_bound():
     rng = np.random.default_rng(10)
     nets = [_random_net(rng, (3, 5, 2, 1)) for _ in range(3)]
@@ -188,6 +197,18 @@ def test_combine_rejects_arch_mismatch():
     rng = np.random.default_rng(11)
     with pytest.raises(ValueError):
         combine([1.0, 1.0], [_random_net(rng, (2, 3, 1)), _random_net(rng, (2, 4, 1))])
+
+
+def test_combine_parallel_and_trees_of_one_network_repeated():
+    # every operand is the same object, so all of its layers are shared
+    rng = np.random.default_rng(12)
+    net = _random_net(rng, (2, 4, 1))
+    xs = rng.normal(size=(200, 2))
+    f = realize(net, xs)
+    _assert_exact(realize(combine([0.5, 0.25, 0.25], [net] * 3), xs), f)
+    _assert_exact(realize(parallel_shared(net, net), xs), np.hstack([f, f]))
+    _assert_exact(realize(max_tree([net] * 4), xs), f)
+    _assert_exact(realize(min_tree([net] * 2), xs), f)
 
 
 # --------------------------------------------------------- parallel_shared

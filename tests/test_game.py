@@ -1,5 +1,7 @@
 """Zero-sum game synthesis: strategies, inf-sup network, brute-force oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,18 +11,25 @@ from stiffnet import (
     StrategyGrid,
     SynthesisBudget,
     brute_force_game_value,
+    compose,
     controlled_value_net,
     enumerate_strategies,
+    fold_affine,
     game_delta,
     infsup_net,
     make_controlled_relu_drift,
     make_quadratic_cost,
     network_to_text,
+    pad_to_pow2,
     pair_value_nets,
+    parallel_shared,
+    psi_max_net,
     realize,
     truncation_radius,
+    unstack,
 )
-from stiffnet.synthesis import plan_cost
+from stiffnet.sde import PathBundle
+from stiffnet.synthesis import coefficients_from_nets, mc_reference, plan_cost
 
 
 def _grid(n_times=2, g=None):
@@ -91,26 +100,26 @@ def test_grid_validation():
 
 
 def test_step_actions_row_is_the_action_of_the_interval_holding_the_step():
-    from stiffnet.game import _step_actions
+    from stiffnet.game import _resolve_pairs
 
     times = [0.0, 0.25, 0.625]
     grid = StrategyGrid(
         times=times,
         u1_actions=np.array([[0.0, 1.0], [2.0, 3.0]]),
         u2_actions=np.array([[-1.0], [-2.0], [-3.0]]),
+        g=lambda u1, u2: float(np.sum(u1) - 10.0 * np.sum(u2)),
     )
     budget = _budget(steps=8)
     s1, s2 = enumerate_strategies(grid)
-    for strat1 in s1[::3]:
-        for strat2 in s2[::5]:
-            actions = _step_actions(grid, budget, strat1, strat2)
-            assert actions.shape == (8, 3)
-            for n in range(8):
-                k = max(i for i, t in enumerate(times) if t <= n * budget.h)
-                want = np.concatenate(
-                    [grid.u1_actions[strat1[k]], grid.u2_actions[strat2[k]]]
-                )
-                assert np.array_equal(actions[n], want)
+    plans, costs = _resolve_pairs(grid, budget, s1, s2)
+    assert plans.shape == (len(s1) * len(s2), 8, 3)
+    # pair i * len(s2) + j is (s1[i], s2[j])
+    for (strat1, strat2), actions, g in zip(itertools.product(s1, s2), plans, costs):
+        u1, u2 = grid.u1_actions[list(strat1)], grid.u2_actions[list(strat2)]
+        assert g == grid.g(u1, u2)
+        for n in range(8):
+            k = max(i for i, t in enumerate(times) if t <= n * budget.h)
+            assert np.array_equal(actions[n], np.concatenate([u1[k], u2[k]]))
 
 
 def test_game_delta_examples():
@@ -218,6 +227,47 @@ def test_infsup_realizes_discrete_hamiltonian_of_affine_forms():
     )
 
 
+def _recursive_max(nets):
+    """Reference: max_tree as the recursion over halves of single networks."""
+    if len(nets) == 1:
+        return nets[0]
+    half = len(nets) // 2
+    pair = parallel_shared(_recursive_max(nets[:half]), _recursive_max(nets[half:]))
+    return compose(psi_max_net(), pair)
+
+
+def _recursive_min(nets):
+    neg = np.array([[-1.0]])
+    flipped = [fold_affine(net, "post", neg) for net in nets]
+    return fold_affine(_recursive_max(flipped), "post", neg)
+
+
+@pytest.mark.parametrize(
+    "times, u1",
+    [([0.0, 0.5], [[0.5], [-0.5]]), ([0.0], [[0.5], [0.0], [-0.5]])],
+    ids=["4x9 pairs", "3x3 pairs"],
+)
+def test_stacked_infsup_is_the_per_row_tree_construction_byte_for_byte(times, u1):
+    d = 2
+    rec = make_controlled_relu_drift(d)
+    budget = _budget(4, 4)
+    radius = truncation_radius(budget.h, rec.system.eta)
+    cost = make_quadratic_cost(np.ones(d), radius, 1e-4)
+    grid = StrategyGrid(
+        times=times, u1_actions=np.array(u1), u2_actions=np.array([[0.25], [0.0], [-0.25]]),
+        g=lambda a, b: float(np.sum(a**2) - np.sum(b**2)),
+    )  # fmt: skip
+    s1, s2 = enumerate_strategies(grid)
+    stack, _ = pair_value_nets(s1, s2, rec, cost, budget, 4321, grid)
+    nets = unstack(stack)
+    rows = [nets[i : i + len(s2)] for i in range(0, len(nets), len(s2))]
+    want = network_to_text(
+        _recursive_min(pad_to_pow2([_recursive_max(pad_to_pow2(row)) for row in rows]))
+    )
+    assert network_to_text(infsup_net(stack, len(s2))) == want
+    assert network_to_text(infsup_net(rows)) == want
+
+
 # ------------------------------------------------------ controlled unrolling
 
 
@@ -269,9 +319,8 @@ PAIR_GRIDS = {
 }  # fmt: skip
 
 
-@pytest.mark.parametrize("name", list(PAIR_GRIDS))
-def test_pair_value_nets_are_the_per_pair_nets_byte_for_byte(name):
-    spec = PAIR_GRIDS[name]
+def _pair_game(spec):
+    """(recipe, budget, cost, grid) of one PAIR_GRIDS entry, as the game study has them."""
     d = spec["d"]
     u1, u2 = np.array(spec["u1"]), np.array(spec["u2"])
     rec = make_controlled_relu_drift(d, m1=u1.shape[1], m2=u2.shape[1])
@@ -283,19 +332,27 @@ def test_pair_value_nets_are_the_per_pair_nets_byte_for_byte(name):
         times=spec["times"], u1_actions=u1, u2_actions=u2,
         g=lambda a, b: float(np.sum(a**2) - np.sum(b**2)),
     )  # fmt: skip
+    return rec, budget, cost, grid
+
+
+@pytest.mark.parametrize("name", list(PAIR_GRIDS))
+def test_pair_value_nets_are_the_per_pair_nets_byte_for_byte(name):
+    spec = PAIR_GRIDS[name]
+    rec, budget, cost, grid = _pair_game(spec)
     s1, s2 = enumerate_strategies(grid)
-    rows, report = pair_value_nets(s1, s2, rec, cost, budget, spec["seed"], grid)
-    assert [len(row) for row in rows] == [len(s2)] * len(s1)
-    for strat1, row in zip(s1, rows):
-        for strat2, net in zip(s2, row):
-            one, one_report = controlled_value_net(
-                strat1, strat2, rec, cost, budget, spec["seed"], grid
-            )
-            assert network_to_text(net) == network_to_text(one)
-            assert one_report == report
+    stack, report = pair_value_nets(s1, s2, rec, cost, budget, spec["seed"], grid)
+    nets = unstack(stack)
+    assert len(nets) == len(s1) * len(s2)
+    # member i * len(s2) + j is the pair (s1[i], s2[j])
+    for net, (strat1, strat2) in zip(nets, itertools.product(s1, s2)):
+        one, one_report = controlled_value_net(
+            strat1, strat2, rec, cost, budget, spec["seed"], grid
+        )
+        assert network_to_text(net) == network_to_text(one)
+        assert one_report == report
 
 
-def test_brute_force_batch_equals_single_points_one_simulation_per_pair(monkeypatch):
+def test_brute_force_batch_equals_single_points_in_one_simulation(monkeypatch):
     import stiffnet.game as game
 
     d = 2
@@ -315,10 +372,48 @@ def test_brute_force_batch_equals_single_points_one_simulation_per_pair(monkeypa
 
     monkeypatch.setattr(game, "mc_reference", counted)
     batch = brute_force_game_value(rec, grid, cost, budget, 13, xs)
-    assert len(calls) == 16  # 4 x 4 strategy pairs, all 20 points per call
+    assert len(calls) == 1  # 4 x 4 strategy pairs and all 20 points in one call
     assert batch.shape == (20,)
     assert isinstance(singles[0], float)
     assert np.array_equal(batch, singles)
+
+
+def _per_pair_oracle(recipe, grid, cost, budget, seed, x):
+    """Reference: the brute-force oracle with one simulation per strategy pair."""
+    from stiffnet.game import _resolve_pairs
+
+    s1, s2 = enumerate_strategies(grid)
+
+    def value(strat1, strat2):
+        plans, costs = _resolve_pairs(grid, budget, [strat1], [strat2])
+        action = lambda t: plans[0, int(round(t / budget.h))]
+        coeffs = coefficients_from_nets(recipe.mu_net, recipe.sigma_col_nets, action)
+        direct = mc_reference(recipe.system, coeffs, cost, budget, seed, x)
+        return direct + costs[0]
+
+    values = np.array([[value(strat1, strat2) for strat2 in s2] for strat1 in s1])
+    best = values.max(axis=1).min(axis=0)
+    return best if best.ndim else float(best)
+
+
+@pytest.mark.parametrize("name", ["default", "three player-2 actions"])
+def test_brute_force_is_the_per_pair_oracle_bit_for_bit(name, monkeypatch):
+    spec = PAIR_GRIDS[name]
+    rec, budget, cost, grid = _pair_game(spec)
+    xs = np.random.default_rng(6).uniform(0.0, 1.0, size=(20, spec["d"]))
+    want = _per_pair_oracle(rec, grid, cost, budget, spec["seed"], xs)
+
+    draws = []
+    increments = PathBundle.increments
+
+    def counted(self, *args, **kwargs):
+        draws.append(1)
+        return increments(self, *args, **kwargs)
+
+    monkeypatch.setattr(PathBundle, "increments", counted)
+    got = brute_force_game_value(rec, grid, cost, budget, spec["seed"], xs)
+    assert len(draws) == budget.steps  # each Brownian block drawn once
+    assert np.array_equal(got, want)
 
 
 def test_off_grid_times_raise_in_the_net_and_in_the_oracle():

@@ -275,11 +275,24 @@ def test_implicit_factor_contraction_probes():
             assert np.linalg.norm(h * (A @ z)) <= np.linalg.norm(r) + 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_implicit_factor_singular_fails_when_built():
     # I + hA = 0: the inverse is not finite, so neither solve nor fold may see it
     with pytest.raises(np.linalg.LinAlgError):
         ImplicitFactor(-np.eye(2), 1.0)
+
+
+def test_implicit_factor_inverse_is_the_lu_inverse_bit_for_bit_on_diagonal_A():
+    from scipy.linalg import lu_factor, lu_solve
+
+    rng = np.random.default_rng(8)
+    for d in range(1, 65):
+        A = np.diag(rng.uniform(0.0, 4.0 * d, d))
+        h = float(rng.uniform(0.001, 1.0))
+        eye = np.eye(d)
+        inv = ImplicitFactor(A, h).inverse()
+        assert np.array_equal(inv, lu_solve(lu_factor(eye + h * A), eye))
+        # solve multiplies by the transpose, which Fortran order makes C-contiguous
+        assert inv.T.flags.c_contiguous
 
 
 def test_implicit_factor_inverse_matrix_agrees():

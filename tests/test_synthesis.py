@@ -25,6 +25,7 @@ from stiffnet import (
     truncation_radius,
     uniform_cube_measure,
     unroll_value_net,
+    unstack,
 )
 from stiffnet.synthesis import (
     BudgetError,
@@ -315,8 +316,9 @@ def test_stacked_unroll_of_action_plans_is_the_per_plan_unroll_byte_for_byte():
     # three plans of (u1, u2) per step, one with all actions zero
     plans = np.random.default_rng(2).choice([-0.5, 0.0, 0.25, 1.0], size=(3, 4, 3))
     plans[1] = 0.0
-    nets, _ = unroll_value_net(*args, actions=plans)
-    assert len(nets) == 3
+    stack, _ = unroll_value_net(*args, actions=plans)
+    assert stack.members == 3
+    nets = unstack(stack)
     # one plan must still come as a (1, N, m) stack, with one row per step
     for bad in (plans[0], plans[:, :3]):
         with pytest.raises(ValueError, match="action plans"):
@@ -379,6 +381,28 @@ def test_unroll_memory_is_linear_in_paths():
     want = mc_reference(rec.system, coeffs, cost, budget, 5, xs)
     got = realize(psi, xs)[:, 0]
     assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-11
+
+
+def test_unroll_builds_as_many_layers_at_any_path_count(monkeypatch):
+    # the paths are members of one stack, so no layer is built per path
+    rec = make_ou(2, decay=0.5, noise=0.3)
+    cost = make_quadratic_cost(np.ones(2), 4, 1e-3)
+    built = []
+    init = Layer.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Layer, "__init__", counted)
+    counts = []
+    for paths in (8, 8, 256):  # the first run fills the module caches
+        built.clear()
+        unroll_value_net(
+            rec.mu_net, rec.sigma_col_nets, cost.net, rec.system, _budget(4, paths), 5
+        )
+        counts.append(len(built))
+    assert counts[1] == counts[2]
 
 
 def test_mc_reference_constant_cost():
