@@ -248,15 +248,8 @@ def _recursive_min(nets):
     ids=["4x9 pairs", "3x3 pairs"],
 )
 def test_stacked_infsup_is_the_per_row_tree_construction_byte_for_byte(times, u1):
-    d = 2
-    rec = make_controlled_relu_drift(d)
-    budget = _budget(4, 4)
-    radius = truncation_radius(budget.h, rec.system.eta)
-    cost = make_quadratic_cost(np.ones(d), radius, 1e-4)
-    grid = StrategyGrid(
-        times=times, u1_actions=np.array(u1), u2_actions=np.array([[0.25], [0.0], [-0.25]]),
-        g=lambda a, b: float(np.sum(a**2) - np.sum(b**2)),
-    )  # fmt: skip
+    spec = dict(d=2, steps=4, paths=4, times=times, u1=u1, u2=[[0.25], [0.0], [-0.25]])
+    rec, budget, cost, grid = _pair_game(spec)
     s1, s2 = enumerate_strategies(grid)
     stack, _ = pair_value_nets(s1, s2, rec, cost, budget, 4321, grid)
     nets = unstack(stack)
