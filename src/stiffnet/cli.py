@@ -12,7 +12,6 @@ Exit codes: 0 pass, 1 assertion/verification failure, 2 config error.
 """
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -42,6 +41,7 @@ from .calculus import (
 from .game import (
     StrategyGrid,
     brute_force_game_value,
+    check_pair_cap,
     enumerate_strategies,
     game_delta,
     infsup_net,
@@ -50,6 +50,7 @@ from .game import (
 from .network import Layer, Network, fold_affine, realize, save_network
 from .sde import drawing_threads, exact_coefficients, rate_study, reference_steps
 from .synthesis import (
+    BudgetError,
     SynthesisBudget,
     calibrate_cplan,
     coefficients_from_nets,
@@ -63,7 +64,6 @@ from .synthesis import (
     unroll_value_net,
 )
 from .systems import (
-    RECIPES,
     make_controlled_relu_drift,
     make_quadratic_cost,
     make_system,
@@ -163,7 +163,10 @@ def load_config(path, expected_study=None):
     full = dict(schema["optional"])
     full.update({k: cfg[k] for k in keys})
     full["study"] = study
-    _check_values(full)
+    # values are checked, never rewritten, so the manifest echoes the config
+    for key, (ok, what) in _VALUE_RULES.items():
+        if key in full and not ok(full[key]):
+            raise ConfigError("%s must be %s, got %r" % (key, what, full[key]))
     return full
 
 
@@ -173,6 +176,11 @@ def _is_number(v):
 
 def _is_count(v):
     return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+def _is_seed(v):
+    # Philox keys are uint64
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < 2**64
 
 
 def _is_accuracy(v):
@@ -202,70 +210,33 @@ def _list_of(check):
 
 _COUNT = (_is_count, "an integer >= 1")
 _ACCURACY = (_is_accuracy, "a number in (0, 1]")
-# the rule each value a runner converts must meet
+# the JSON type and range of each top-level value; `system` and the recipe
+# parameters are checked by the recipe factories when a study is set up
 _VALUE_RULES = {
     **{k: _COUNT for k in ("d", "paths", "steps", "n_interventions", "n_points")},
     **{k: _COUNT for k in ("n_samples", "d_fixed", "instances", "points")},
+    "seed": (lambda v: v is None or _is_seed(v), "null or an integer in [0, 2**64)"),
     "eps": _ACCURACY,
     "eps_fixed": _ACCURACY,
+    "n_list": (_list_of(_is_count), "a non-empty list of integers >= 1"),
     "d_list": (_list_of(_is_count), "a non-empty list of integers >= 1"),
     "eps_list": (_list_of(_is_accuracy), "a non-empty list of numbers in (0, 1]"),
     "horizon": (_is_positive, "a finite number > 0"),
     "cplan": (lambda v: v is None or _is_positive(v), "null or a finite number > 0"),
     "u1": (_is_action_list, "a non-empty rectangular list of numbers"),
     "u2": (_is_action_list, "a non-empty rectangular list of numbers"),
-    "system": (
-        lambda v: isinstance(v, str) and v in RECIPES,
-        "one of " + ", ".join(sorted(RECIPES)),
-    ),
+    "params": (lambda v: isinstance(v, dict), "a JSON object"),
 }
 
 
-def _check_values(cfg):
-    """Reject values a study would check nothing with or fail on mid-run.
-
-    Values are checked, never rewritten, so the manifest echoes the config
-    as it was given.
-    """
-    for key, (ok, what) in _VALUE_RULES.items():
-        if key in cfg and not ok(cfg[key]):
-            raise ConfigError("%s must be %s, got %r" % (key, what, cfg[key]))
-    if cfg["study"] == "convergence":
-        try:
-            reference_steps(cfg["n_list"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-    if "params" in cfg:
-        _check_params(cfg)
-
-
-def _check_params(cfg):
-    """params must be keywords the study's recipe factory accepts."""
-    params = cfg["params"]
-    if not isinstance(params, dict):
-        raise ConfigError("params must be a JSON object, got %r" % (params,))
-    if cfg["study"] == "game":
-        # run_game passes the action dimensions itself
-        factory, fixed = make_controlled_relu_drift, ("m1", "m2")
-    else:
-        factory, fixed = RECIPES[cfg["system"]], ()
-    try:
-        inspect.signature(factory).bind(None, **dict.fromkeys(fixed), **params)
-    except TypeError as exc:
-        raise ConfigError("params do not fit %s: %s" % (factory.__name__, exc)) from exc
-    if params.get("sigma_kind", "const") not in ("const", "diag"):
-        raise ConfigError(
-            "params.sigma_kind must be 'const' or 'diag', got %r" % (params["sigma_kind"],)
-        )
-
-
 def resolve_seed(cfg):
+    """The config's seed, else STIFFNET_SEED under the config's seed rule, else 1234."""
     if cfg.get("seed") is not None:
-        return int(cfg["seed"])
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEED
+        return cfg["seed"]
+    env = os.environ.get(SEED_ENV, str(DEFAULT_SEED))
+    if not (env.isdecimal() and _is_seed(int(env))):
+        raise ConfigError("STIFFNET_SEED %r is not an integer in [0, 2**64)" % env)
+    return int(env)
 
 
 def _fmt(v):
@@ -495,122 +466,138 @@ def run_calculus(cfg, out_dir, seed):
 # --- convergence study ----------------------------------------------------
 
 
-def run_convergence(cfg, out_dir, seed):
+def setup_convergence(cfg):
+    reference_steps(cfg["n_list"])  # every N must divide the reference grid
     recipe = make_system(cfg["system"], int(cfg["d"]), **cfg["params"])
     horizon = float(cfg["horizon"])
     x0 = np.full(recipe.d, 0.5)
     cost = make_quadratic_cost(np.ones(recipe.d), 3.0, 1e-3)
-    oracle = (
-        recipe.exact_value(cost.beta_weights, x0, horizon) if recipe.linear else None
-    )
-    study = rate_study(
-        recipe.system,
-        exact_coefficients(recipe.system),
-        cost,
-        x0,
-        cfg["n_list"],
-        horizon,
-        seed,
-        int(cfg["paths"]),
-        oracle=oracle,
-    )
-    write_csv(
-        os.path.join(out_dir, "convergence.csv"),
-        ["N", "h", "strong_err", "weak_err", "stderr"],
-        study["rows"],
-    )
-    extra = {"strong_slope": study["strong_slope"], "weak_slope": study["weak_slope"]}
-    # strong order 1 under additive noise, 1/2 under multiplicative noise
-    lo, hi = (0.9, 1.1) if recipe.sigma0 is not None else (0.4, 0.6)
-    ok = lo <= study["strong_slope"] <= hi
-    return ["convergence.csv"], extra, ok
+
+    def run(out_dir, seed):
+        oracle = None
+        if recipe.linear:
+            oracle = recipe.exact_value(cost.beta_weights, x0, horizon)
+        study = rate_study(
+            recipe.system,
+            exact_coefficients(recipe.system),
+            cost,
+            x0,
+            cfg["n_list"],
+            horizon,
+            seed,
+            int(cfg["paths"]),
+            oracle=oracle,
+        )
+        write_csv(
+            os.path.join(out_dir, "convergence.csv"),
+            ["N", "h", "strong_err", "weak_err", "stderr"],
+            study["rows"],
+        )
+        extra = {k: study[k] for k in ("strong_slope", "weak_slope")}
+        # strong order 1 under additive noise, 1/2 under multiplicative noise
+        lo, hi = (0.9, 1.1) if recipe.sigma0 is not None else (0.4, 0.6)
+        ok = lo <= study["strong_slope"] <= hi
+        return ["convergence.csv"], extra, ok
+
+    return run
 
 
 # --- synth study ----------------------------------------------------------
 
 
 def _plan_constants(recipe):
+    if recipe.control_dims is not None:
+        raise ConfigError("system %r takes actions, which only game gives" % recipe.id)
     eta = recipe.system.eta
     kappa = max(1.0, recipe.system.kappa0)
     tau = uniform_cube_measure(eta).tau
     return eta, kappa, tau
 
 
-def run_synth(cfg, out_dir, seed):
+def setup_synth(cfg):
     d = int(cfg["d"])
     horizon = float(cfg["horizon"])
     eps = float(cfg["eps"])
     recipe = make_system(cfg["system"], d, **cfg["params"])
     eta, kappa, tau = _plan_constants(recipe)
-    cplan = cfg["cplan"]
-    if cplan is None:
-        if not recipe.linear:
-            raise ConfigError(
-                "system %r has no closed-form value to calibrate against; "
-                "set cplan" % cfg["system"]
+    if cfg["cplan"] is None and not recipe.linear:
+        raise ConfigError(
+            "system %r has no closed-form value to calibrate against; "
+            "set cplan" % cfg["system"]
+        )
+
+    def plan(cplan):
+        budget = plan_budget(
+            eps, d, eta, kappa, tau, horizon, beta=recipe.system.beta, cplan=cplan
+        )
+        return cplan, budget, plan_cost(d, budget, kappa)
+
+    # a given cplan is planned here, so a budget over the caps is a config error
+    planned = None if cfg["cplan"] is None else plan(float(cfg["cplan"]))
+
+    def run(out_dir, seed):
+        cplan, budget, cost = planned or plan(
+            calibrate_cplan(
+                eps,
+                lambda dd: make_system(cfg["system"], dd, **cfg["params"]),
+                lambda dd, budget: plan_cost(dd, budget, kappa),
+                eta,
+                kappa,
+                tau,
+                horizon,
+                seed,
+                d_max=max(d, 16),
             )
-        cplan = calibrate_cplan(
-            eps,
-            lambda dd: make_system(cfg["system"], dd, **cfg["params"]),
-            lambda dd, budget: plan_cost(dd, budget, kappa),
-            eta,
-            kappa,
-            tau,
-            horizon,
-            seed,
-            d_max=max(d, 16),
         )
-    budget = plan_budget(
-        eps, d, eta, kappa, tau, horizon, beta=recipe.system.beta, cplan=float(cplan)
-    )
-    cost = plan_cost(d, budget, kappa)
-    t0 = time.perf_counter()
-    psi, report = unroll_value_net(
-        recipe.mu_net, recipe.sigma_col_nets, cost.net, recipe.system, budget, seed
-    )
-    measure = uniform_cube_measure(eta)
-    if recipe.linear:
-        reference = lambda xs: recipe.exact_value(cost.beta_weights, xs, horizon)
-        ref_kind = "closed_form"
-    else:
-        coeffs = coefficients_from_nets(recipe.mu_net, recipe.sigma_col_nets)
-        reference = lambda xs: mc_reference(
-            recipe.system, coeffs, cost, budget, seed, xs
+        t0 = time.perf_counter()
+        psi, report = unroll_value_net(
+            recipe.mu_net, recipe.sigma_col_nets, cost.net, recipe.system, budget, seed
         )
-        ref_kind = "scheme_same_seed"
-    err, stderr = l2_error(
-        psi, reference, measure, d, int(cfg["n_samples"]), seed ^ 0xE5
-    )
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    save_network(psi, os.path.join(out_dir, "network.txt"))
-    row = {
-        "d": d,
-        "eps": eps,
-        "N": budget.steps,
-        "M": budget.paths,
-        "D": budget.radius,
-        "delta": budget.delta,
-        "net_size": psi.size,
-        "net_depth": psi.depth,
-        "l2_error": err,
-        "l2_stderr": stderr,
-        "wall_ms": wall_ms,
-    }
-    write_csv(os.path.join(out_dir, "synth.csv"), list(row), [row])
-    extra = {
-        "cplan": float(cplan),
-        "reference": ref_kind,
-        "size_bound_ok": report["bound_ok"],
-        "width_condition_ok": report["width_condition_ok"],
-    }
-    ok = report["bound_ok"] and report["width_condition_ok"] and err <= eps
-    return ["synth.csv", "network.txt"], extra, ok
+        measure = uniform_cube_measure(eta)
+        if recipe.linear:
+            reference = lambda xs: recipe.exact_value(cost.beta_weights, xs, horizon)
+            ref_kind = "closed_form"
+        else:
+            coeffs = coefficients_from_nets(recipe.mu_net, recipe.sigma_col_nets)
+            reference = lambda xs: mc_reference(
+                recipe.system, coeffs, cost, budget, seed, xs
+            )
+            ref_kind = "scheme_same_seed"
+        err, stderr = l2_error(
+            psi, reference, measure, d, int(cfg["n_samples"]), seed ^ 0xE5
+        )
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        save_network(psi, os.path.join(out_dir, "network.txt"))
+        row = {
+            "d": d,
+            "eps": eps,
+            "N": budget.steps,
+            "M": budget.paths,
+            "D": budget.radius,
+            "delta": budget.delta,
+            "net_size": psi.size,
+            "net_depth": psi.depth,
+            "l2_error": err,
+            "l2_stderr": stderr,
+            "wall_ms": wall_ms,
+        }
+        write_csv(os.path.join(out_dir, "synth.csv"), list(row), [row])
+        extra = {
+            "cplan": float(cplan),
+            "reference": ref_kind,
+            "size_bound_ok": report["bound_ok"],
+            "width_condition_ok": report["width_condition_ok"],
+        }
+        ok = report["bound_ok"] and report["width_condition_ok"] and err <= eps
+        return ["synth.csv", "network.txt"], extra, ok
+
+    return run
 
 
 # --- game study -----------------------------------------------------------
 
 
-def run_game(cfg, out_dir, seed):
+def setup_game(cfg):
     d = int(cfg["d"])
     eps = float(cfg["eps"])
     horizon = float(cfg["horizon"])
@@ -619,9 +606,12 @@ def run_game(cfg, out_dir, seed):
     n_int = int(cfg["n_interventions"])
     u1 = np.atleast_2d(np.asarray(cfg["u1"], dtype=np.float64))
     u2 = np.atleast_2d(np.asarray(cfg["u2"], dtype=np.float64))
-    recipe = make_controlled_relu_drift(
-        d, m1=u1.shape[1], m2=u2.shape[1], **cfg["params"]
-    )
+    check_pair_cap(len(u1), len(u2), n_int)  # before any time or strategy is listed
+    widths = (u1.shape[1], u2.shape[1])
+    recipe = make_controlled_relu_drift(d, m1=widths[0], m2=widths[1], **cfg["params"])
+    if recipe.control_dims != widths:
+        what = "params b1, b2 take actions of widths %s, but u1, u2 have widths %s"
+        raise ConfigError(what % (recipe.control_dims, widths))
     eta = recipe.system.eta
     h = horizon / steps
     delta = game_delta(eps, d, recipe.system.kappa0, n_int)
@@ -642,25 +632,30 @@ def run_game(cfg, out_dir, seed):
 
     grid = StrategyGrid(times=times, u1_actions=u1, u2_actions=u2, g=g_cost)
     s1, s2 = enumerate_strategies(grid)
-    pairs, _ = pair_value_nets(s1, s2, recipe, cost, budget, seed, grid)
-    leaf_size = pairs.size
-    psi = infsup_net(pairs, len(s2))
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x6A3E)))
-    xs = rng.uniform(0.0, 1.0, (int(cfg["n_points"]), d))
-    directs = brute_force_game_value(recipe, grid, cost, budget, seed, xs)
-    via_net = realize(psi, xs)[:, 0]
-    agree = float(np.max(np.abs(directs - via_net) / (1.0 + np.abs(directs))))
-    row = {
-        "d": d,
-        "eps": eps,
-        "M_interventions": n_int,
-        "n_strategies": len(s1) * len(s2),
-        "net_size": psi.size,
-        "agreement_err": agree,
-    }
-    write_csv(os.path.join(out_dir, "game.csv"), list(row), [row])
-    ok = agree <= 1e-8
-    return ["game.csv"], {"leaf_size": leaf_size, "delta": delta}, ok
+    grid.check_on_grid(horizon, steps)
+
+    def run(out_dir, seed):
+        pairs, _ = pair_value_nets(s1, s2, recipe, cost, budget, seed, grid)
+        leaf_size = pairs.size
+        psi = infsup_net(pairs, len(s2))
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x6A3E)))
+        xs = rng.uniform(0.0, 1.0, (int(cfg["n_points"]), d))
+        directs = brute_force_game_value(recipe, grid, cost, budget, seed, xs)
+        via_net = realize(psi, xs)[:, 0]
+        agree = float(np.max(np.abs(directs - via_net) / (1.0 + np.abs(directs))))
+        row = {
+            "d": d,
+            "eps": eps,
+            "M_interventions": n_int,
+            "n_strategies": len(s1) * len(s2),
+            "net_size": psi.size,
+            "agreement_err": agree,
+        }
+        write_csv(os.path.join(out_dir, "game.csv"), list(row), [row])
+        ok = agree <= 1e-8
+        return ["game.csv"], {"leaf_size": leaf_size, "delta": delta}, ok
+
+    return run
 
 
 # --- scaling study ----------------------------------------------------------
@@ -679,14 +674,17 @@ def _fit_poly(xs, ys):
     return float(slope), 1.0 - ss_res / ss_tot
 
 
-def run_scaling(cfg, out_dir, seed):
+def setup_scaling(cfg):
     horizon = float(cfg["horizon"])
     d_list = [int(v) for v in cfg["d_list"]]
     eps_list = [float(v) for v in cfg["eps_list"]]
     d_fixed = int(cfg["d_fixed"])
     eps_fixed = float(cfg["eps_fixed"])
     # one recipe, so one validation, per distinct dimension; d=2 is the probe
-    recipes = {2: make_system(cfg["system"], 2, **cfg["params"])}
+    recipes = {
+        dd: make_system(cfg["system"], dd, **cfg["params"])
+        for dd in dict.fromkeys([2] + d_list + [d_fixed])
+    }
     eta, kappa, tau = _plan_constants(recipes[2])
     cplan = cfg["cplan"]
     if cplan is None:
@@ -702,78 +700,92 @@ def run_scaling(cfg, out_dir, seed):
         )
     cplan = float(cplan)
 
-    rows = []
-
-    def one(dd, eps, kind):
-        if dd not in recipes:
-            recipes[dd] = make_system(cfg["system"], dd, **cfg["params"])
-        recipe = recipes[dd]
+    def plan(dd, eps):
         budget = plan_budget(
-            eps, dd, eta, kappa, tau, horizon, beta=recipe.system.beta, cplan=cplan
+            eps, dd, eta, kappa, tau, horizon, beta=recipes[dd].system.beta, cplan=cplan
         )
-        cost = plan_cost(dd, budget, kappa)
-        psi, report = unroll_value_net(
-            recipe.mu_net, recipe.sigma_col_nets, cost.net, recipe.system, budget, seed
+        return budget, plan_cost(dd, budget, kappa)
+
+    # every row is planned before any unroll
+    plans = [("dim", dd, eps_fixed, *plan(dd, eps_fixed)) for dd in d_list]
+    plans += [("eps", d_fixed, eps, *plan(d_fixed, eps)) for eps in eps_list]
+
+    def run(out_dir, seed):
+        rows, reports = [], []
+        for kind, dd, eps, budget, cost in plans:
+            rec = recipes[dd]
+            psi, report = unroll_value_net(
+                rec.mu_net, rec.sigma_col_nets, cost.net, rec.system, budget, seed
+            )
+            reports.append(report)
+            rows.append(
+                {
+                    "kind": kind,
+                    "d": dd,
+                    "eps": eps,
+                    "N": budget.steps,
+                    "M": budget.paths,
+                    "D": budget.radius,
+                    "net_size": psi.size,
+                }
+            )
+        write_csv(
+            os.path.join(out_dir, "scaling.csv"),
+            ["kind", "d", "eps", "N", "M", "D", "net_size"],
+            rows,
         )
-        rows.append(
-            {
-                "kind": kind,
-                "d": dd,
-                "eps": eps,
-                "N": budget.steps,
-                "M": budget.paths,
-                "D": budget.radius,
-                "net_size": psi.size,
-            }
+        dim_rows = [r for r in rows if r["kind"] == "dim"]
+        eps_rows = [r for r in rows if r["kind"] == "eps"]
+        slope_d, r2_d = _fit_poly(
+            [r["d"] for r in dim_rows], [r["net_size"] for r in dim_rows]
         )
-        return report
+        slope_e, r2_e = _fit_poly(
+            [1.0 / r["eps"] for r in eps_rows], [r["net_size"] for r in eps_rows]
+        )
+        extra = {
+            "cplan": cplan,
+            "dim_slope": slope_d,
+            "dim_r2": r2_d,
+            "eps_slope": slope_e,
+            "eps_r2": r2_e,
+        }
+        ok = (
+            all(rep["bound_ok"] for rep in reports)
+            and math.isfinite(slope_d)
+            and r2_d >= 0.95
+            and math.isfinite(slope_e)
+            and r2_e >= 0.95
+        )
+        return ["scaling.csv"], extra, ok
 
-    reports = [one(dd, eps_fixed, "dim") for dd in d_list]
-    reports += [one(d_fixed, eps, "eps") for eps in eps_list]
-
-    write_csv(
-        os.path.join(out_dir, "scaling.csv"),
-        ["kind", "d", "eps", "N", "M", "D", "net_size"],
-        rows,
-    )
-    dim_rows = [r for r in rows if r["kind"] == "dim"]
-    eps_rows = [r for r in rows if r["kind"] == "eps"]
-    slope_d, r2_d = _fit_poly([r["d"] for r in dim_rows], [r["net_size"] for r in dim_rows])
-    slope_e, r2_e = _fit_poly(
-        [1.0 / r["eps"] for r in eps_rows], [r["net_size"] for r in eps_rows]
-    )
-    extra = {
-        "cplan": cplan,
-        "dim_slope": slope_d,
-        "dim_r2": r2_d,
-        "eps_slope": slope_e,
-        "eps_r2": r2_e,
-    }
-    ok = (
-        all(rep["bound_ok"] for rep in reports)
-        and math.isfinite(slope_d)
-        and r2_d >= 0.95
-        and math.isfinite(slope_e)
-        and r2_e >= 0.95
-    )
-    return ["scaling.csv"], extra, ok
+    return run
 
 
-_RUNNERS = {
-    "calculus-check": run_calculus,
-    "convergence": run_convergence,
-    "synth": run_synth,
-    "game": run_game,
-    "scaling": run_scaling,
+# each study's set-up builds what its config determines and returns its run
+_SETUPS = {
+    "calculus-check": lambda cfg: lambda out, seed: run_calculus(cfg, out, seed),
+    "convergence": setup_convergence,
+    "synth": setup_synth,
+    "game": setup_game,
+    "scaling": setup_scaling,
 }
 
 
 def run_study(cfg, out_dir):
+    """Set the study up from cfg, then run it and write its artifacts to out_dir.
+
+    A set-up error is a ConfigError, raised before out_dir is made; the
+    run's own errors, such as a failed calibration, are study failures.
+    """
     study = cfg["study"]
-    seed = resolve_seed(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    artifacts, extra, ok = _RUNNERS[study](cfg, out_dir, seed)
+    seed = resolve_seed(cfg)
+    try:
+        run = _SETUPS[study](cfg)
+    except (KeyError, TypeError, ValueError, ArithmeticError, BudgetError) as exc:
+        raise ConfigError(*exc.args) from exc
+    os.makedirs(out_dir, exist_ok=True)
+    artifacts, extra, ok = run(out_dir, seed)
     wall_ms = (time.perf_counter() - t0) * 1e3
     write_manifest(
         out_dir, study, cfg, seed, artifacts, extra, wall_ms, "ok" if ok else "failed"

@@ -29,6 +29,7 @@ from .synthesis import coefficients_from_nets, mc_reference, unroll_value_net
 
 __all__ = [
     "StrategyGrid",
+    "check_pair_cap",
     "enumerate_strategies",
     "controlled_value_net",
     "pair_value_nets",
@@ -81,19 +82,24 @@ class StrategyGrid:
         return on_grid.astype(np.int64)
 
 
+def check_pair_cap(n_actions1, n_actions2, n_interventions):
+    """ValueError when the strategy pairs would exceed PAIR_CAP; lists none."""
+    base = n_actions1 * n_actions2
+    # any base > 1 passes the cap within PAIR_CAP.bit_length() interventions
+    if base ** min(n_interventions, PAIR_CAP.bit_length()) > PAIR_CAP:
+        raise ValueError(
+            "strategy enumeration needs %d**%d pairs, above the cap %d"
+            % (base, n_interventions, PAIR_CAP)
+        )
+
+
 def enumerate_strategies(grid):
     """All action-index sequences per player, in lexicographic order.
 
     Refuses when the number of strategy pairs exceeds PAIR_CAP.
     """
     m = grid.n_interventions
-    n1 = len(grid.u1_actions) ** m
-    n2 = len(grid.u2_actions) ** m
-    if n1 * n2 > PAIR_CAP:
-        raise ValueError(
-            "strategy enumeration needs %d pairs, above the cap %d"
-            % (n1 * n2, PAIR_CAP)
-        )
+    check_pair_cap(len(grid.u1_actions), len(grid.u2_actions), m)
     s1 = list(itertools.product(range(len(grid.u1_actions)), repeat=m))
     s2 = list(itertools.product(range(len(grid.u2_actions)), repeat=m))
     return s1, s2

@@ -10,7 +10,7 @@ All recipes are validated against the monotonicity/regularity hypotheses at
 construction time.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,7 +40,6 @@ class SystemRecipe:
     system: StiffSystem
     mu_net: Network
     sigma_col_nets: list
-    params: dict = field(default_factory=dict)
     sigma0: Optional[np.ndarray] = None  # set when sigma is constant
     linear: bool = False  # mu == 0 and sigma constant => exact oracle
     control_dims: Optional[tuple] = None  # (m1, m2) for controlled recipes
@@ -92,7 +91,7 @@ def _zero_drift(t, x):
 
 
 def _diagonal_recipe(
-    id, d, a_diag, drift, noise, eta, sigma_kind, kappa0, params, actions=None
+    id, d, a_diag, drift, noise, eta, sigma_kind, kappa0, actions=None
 ):
     """Validated recipe for A = diag(a_diag), mu = drift * relu(x).
 
@@ -155,7 +154,6 @@ def _diagonal_recipe(
         system=sysm,
         mu_net=mu_net,
         sigma_col_nets=cols,
-        params=params,
         sigma0=sigma0,
         linear=sigma_kind == "const" and c == 0.0 and m == 0,
     )
@@ -170,9 +168,8 @@ def make_ou(d, decay=0.5, noise=0.1, eta=0.5, sigma_kind="const"):
     """
     a = float(decay)
     s = float(noise)
-    params = {"decay": a, "noise": s, "eta": eta, "sigma_kind": sigma_kind}
     return _diagonal_recipe(
-        "ou", d, np.full(d, a), 0.0, s, eta, sigma_kind, max(1.0, a), params
+        "ou", d, np.full(d, a), 0.0, s, eta, sigma_kind, max(1.0, a)
     )
 
 
@@ -192,13 +189,6 @@ def make_galerkin_heat(
     if a < 0.0 or s < 0.0:
         raise ValueError("diffusivity and noise scale must be nonnegative")
     k = np.arange(1, d + 1, dtype=np.float64)
-    params = {
-        "diffusivity": a,
-        "drift_scale": c,
-        "noise_scale": s,
-        "eta": eta,
-        "sigma_kind": sigma_kind,
-    }
     return _diagonal_recipe(
         "galerkin_heat",
         d,
@@ -208,7 +198,6 @@ def make_galerkin_heat(
         eta,
         sigma_kind,
         max(2.0, a * np.pi**2),
-        params,
     )
 
 
@@ -220,10 +209,7 @@ def make_relu_drift_system(d, l_mu=1.0, eta=0.5, noise_scale=0.0):
     """
     l_mu = float(l_mu)
     s = float(noise_scale)
-    params = {"l_mu": l_mu, "eta": eta, "noise_scale": s}
-    return _diagonal_recipe(
-        "relu_drift", d, np.zeros(d), l_mu, s, eta, "const", 1.0, params
-    )
+    return _diagonal_recipe("relu_drift", d, np.zeros(d), l_mu, s, eta, "const", 1.0)
 
 
 def make_controlled_relu_drift(
@@ -245,14 +231,11 @@ def make_controlled_relu_drift(
         b2 = -np.ones((d, m2))
     b1 = np.asarray(b1, dtype=np.float64).reshape(d, -1)
     b2 = np.asarray(b2, dtype=np.float64).reshape(d, -1)
-    m1, m2 = b1.shape[1], b2.shape[1]
     b_all = np.hstack([b1, b2])
-    params = {"l_mu": l_mu, "eta": eta, "noise_scale": s, "m1": m1, "m2": m2}
     recipe = _diagonal_recipe(
-        "controlled_relu_drift", d, np.zeros(d), l_mu, s, eta, "const", 1.0, params,
-        actions=b_all,
+        "controlled_relu_drift", d, np.zeros(d), l_mu, s, eta, "const", 1.0, b_all
     )
-    recipe.control_dims = (m1, m2)
+    recipe.control_dims = (b1.shape[1], b2.shape[1])
     return recipe
 
 
@@ -265,8 +248,6 @@ class CostPack:
     net: Network
     theta: float
     beta_weights: np.ndarray
-    radius: float
-    eps_cost: float
 
     def f_tilde(self, x):
         return realize(self.net, np.asarray(x, dtype=np.float64))[..., 0]
@@ -293,8 +274,6 @@ def make_quadratic_cost(beta_weights, radius, eps_cost):
         net=net,
         theta=theta,
         beta_weights=beta_weights,
-        radius=float(radius),
-        eps_cost=float(eps_cost),
     )
 
 

@@ -1,14 +1,23 @@
 """Experiment driver: config validation, artifacts, verify, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiffnet import PathBundle
 from stiffnet.cli import (
+    _SCHEMAS,
+    _SETUPS,
+    _VALUE_RULES,
     EXIT_CONFIG,
     EXIT_FAIL,
     EXIT_OK,
@@ -18,6 +27,7 @@ from stiffnet.cli import (
     resolve_seed,
 )
 from stiffnet.sde import _WINDOW
+from stiffnet.synthesis import BudgetError
 
 
 def _write_config(tmp_path, cfg, name="cfg.json"):
@@ -110,13 +120,116 @@ def test_bad_config_exits_2(tmp_path):
         {"study": "synth", "system": "ou", "d": 2, "eps": 0.5, "cplan": "big"},
         {"study": "game", "d": 2, "u1": [[0.5], [-0.5, 1.0]]},
         {"study": "game", "d": 2, "params": {"m1": 2}},
+        # seeds are Philox uint64 keys; counts are JSON integers
+        {"study": "game", "d": 2, "seed": "abc"},
+        {"study": "game", "d": 2, "seed": -1},
+        {"study": "game", "d": 2, "seed": 2**64},
+        {"study": "game", "d": 2, "seed": 1.5},
+        {"study": "game", "d": 2, "seed": True},
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8.5, 16]},
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [True, 8]},
+        # recipe parameters and the standing hypotheses, checked by the factories
+        {"study": "game", "d": 2, "params": {"l_mu": "x"}},
+        {"study": "game", "d": 2, "params": {"noise_scale": -1}},
+        {"study": "game", "d": 2, "params": {"eta": 1.5}},
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8],
+         "params": {"decay": -1.0}},
+        {"study": "convergence", "system": "galerkin_heat", "d": 2, "paths": 8,
+         "n_list": [8], "params": {"noise_scale": -0.1}},
+        # an intervention off the Euler grid; more strategy pairs than the cap
+        {"study": "game", "d": 2, "n_interventions": 3},
+        {"study": "game", "d": 2, "n_interventions": 7},
+        {"study": "game", "d": 2, "steps": 7, "n_interventions": 7},
+        # action widths of the recipe against those of the action sets
+        {"study": "game", "d": 2, "params": {"b1": [[1, 2], [3, 4]]}},
+        {"study": "game", "d": 2, "params": {"b2": [1, 2, 3, 4]}},
+        # a given cplan whose budget the planner cannot meet
+        {"study": "synth", "system": "ou", "d": 2, "eps": 0.5, "cplan": 1e-12},
+        {"study": "scaling", "cplan": 1e-12},
+        # an action recipe outside game
+        {"study": "synth", "system": "controlled_relu_drift", "d": 2, "eps": 0.5,
+         "cplan": 100.0},
+        {"study": "scaling", "system": "controlled_relu_drift"},
     ],
 )
-def test_values_a_study_cannot_run_on_exit_2(tmp_path, cfg):
+def test_values_a_study_cannot_run_on_exit_2(tmp_path, capsys, cfg):
     path = _write_config(tmp_path, cfg)
     out = os.path.join(tmp_path, "out")
     assert main([cfg["study"], "--config", path, "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
     assert not os.path.exists(out)
+
+
+# each study's smallest runnable config; the fuzz fills in the study's
+# defaults and spoils one key
+_RUNNABLE = {
+    "calculus-check": {"study": "calculus-check"},
+    "convergence": {"study": "convergence", "system": "ou", "d": 2, "paths": 8,
+                    "n_list": [8]},
+    "synth": {"study": "synth", "system": "ou", "d": 2, "eps": 0.5},
+    "game": {"study": "game", "d": 2},
+    "scaling": {"study": "scaling"},
+}
+_PARAM_NAMES = ["decay", "noise", "eta", "sigma_kind", "diffusivity", "drift_scale",
+                "noise_scale", "l_mu", "b1", "b2", "m1", "m2", "bogus"]
+# wrong types, bools, floats, out-of-range and non-finite numbers, nested
+# lists and objects.  Set-up builds a recipe of any dimension the rules
+# accept and nothing yet caps a size given directly, so the only large
+# integer is 2**64, which numpy refuses as a dimension before allocating
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=2),
+    st.integers(-3, 0),
+    st.just(2**64),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.lists(st.integers(-2, 2), max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=1),
+)
+
+
+@st.composite
+def _spoilt_configs(draw):
+    study = draw(st.sampled_from(sorted(_RUNNABLE)))
+    cfg = dict(_SCHEMAS[study]["optional"], **_RUNNABLE[study])
+    keys = sorted(set(cfg) - {"study"}) + (["grid"] if study == "game" else [])
+    key = draw(st.sampled_from(keys))
+    if key == "grid":  # intervention times off the Euler grid, or too many pairs
+        cfg["steps"] = draw(st.integers(1, 16))
+        cfg["n_interventions"] = draw(st.integers(1, 12))
+    elif key == "params":
+        cfg[key] = draw(
+            _JUNK | st.dictionaries(st.sampled_from(_PARAM_NAMES), _JUNK, min_size=1,
+                                    max_size=1)
+        )
+    else:
+        cfg[key] = draw(_JUNK)
+    return cfg
+
+
+def _runnable(cfg):
+    """Whether cfg meets every value rule and its study's set-up."""
+    if not all(ok(cfg[k]) for k, (ok, _) in _VALUE_RULES.items() if k in cfg):
+        return False
+    try:
+        _SETUPS[cfg["study"]](cfg)
+    except Exception:
+        return False
+    return True
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(cfg=_spoilt_configs().filter(lambda cfg: not _runnable(cfg)))
+def test_spoilt_configs_exit_2_before_any_output(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_config(tmp, cfg)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([cfg["study"], "--config", path, "--out", out])
+        assert (code, os.path.exists(out)) == (EXIT_CONFIG, False), err.getvalue()
+        assert err.getvalue().startswith("config error: ")
 
 
 def test_subcommand_study_mismatch_exits_2(tmp_path):
@@ -133,6 +246,16 @@ def test_seed_env_honored_only_without_config_seed(tmp_path, monkeypatch):
     assert resolve_seed({"seed": 12}) == 12
     monkeypatch.delenv("STIFFNET_SEED")
     assert resolve_seed({"seed": None}) == 1234
+
+
+@pytest.mark.parametrize("env", ["abc", "-1", "1.5", "", str(2**64)])
+def test_seed_env_outside_the_seed_rule_exits_2(tmp_path, capsys, monkeypatch, env):
+    monkeypatch.setenv("STIFFNET_SEED", env)
+    path = _write_config(tmp_path, {"study": "game", "d": 2})
+    out = os.path.join(tmp_path, "out")
+    assert main(["game", "--config", path, "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: STIFFNET_SEED")
+    assert not os.path.exists(out)
 
 
 # ------------------------------------------------------------------ studies
@@ -174,15 +297,28 @@ def test_synth_galerkin_heat_plans_without_overflow(tmp_path):
 
 
 def test_nonlinear_synth_without_cplan_exits_2(tmp_path, capsys):
-    # the recipe has no closed-form value to calibrate cplan against; the
-    # runner finds that out, so its output directory may exist, but empty
+    # the recipe has no closed-form value to calibrate cplan against; set-up
+    # finds that out before the output directory is made
     cfg = {"study": "synth", "system": "relu_drift", "d": 2, "eps": 0.5,
            "params": {"l_mu": 0.5, "noise_scale": 0.1}}
     path = _write_config(tmp_path, cfg)
     out = os.path.join(tmp_path, "out")
     assert main(["synth", "--config", path, "--out", out]) == EXIT_CONFIG
     assert "cplan" in capsys.readouterr().err
-    assert not os.path.exists(out) or os.listdir(out) == []
+    assert not os.path.exists(out)
+
+
+def test_failed_calibration_is_a_study_failure(tmp_path, capsys, monkeypatch):
+    # calibration runs after set-up, so its BudgetError is not a config error
+    import stiffnet.cli as cli
+
+    def fail(*args, **kwargs):
+        raise BudgetError("calibration failed")
+
+    monkeypatch.setattr(cli, "calibrate_cplan", fail)
+    path = _write_config(tmp_path, {"study": "synth", "system": "ou", "d": 2, "eps": 0.5})
+    assert main(["synth", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_FAIL
+    assert capsys.readouterr().err.startswith("study failed: calibration failed")
 
 
 def test_nonlinear_synth_runs_with_an_explicit_cplan(tmp_path):

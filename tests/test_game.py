@@ -28,6 +28,7 @@ from stiffnet import (
     truncation_radius,
     unstack,
 )
+from stiffnet.game import check_pair_cap
 from stiffnet.sde import PathBundle
 from stiffnet.synthesis import coefficients_from_nets, mc_reference, plan_cost
 
@@ -85,6 +86,25 @@ def test_enumerate_refuses_above_cap():
     )
     with pytest.raises(ValueError):
         enumerate_strategies(grid)
+
+
+@pytest.mark.parametrize(
+    "n1, n2, m, refused",
+    [
+        (2, 2, 6, False),  # 4096 pairs, the cap itself
+        (2, 2, 7, True),
+        (4096, 1, 1, False),
+        (4097, 1, 1, True),
+        (1, 1, 2**64, False),
+        (2, 1, 2**64, True),  # refused without forming 2**(2**64)
+    ],
+)
+def test_pair_cap_is_checked_from_the_counts_alone(n1, n2, m, refused):
+    if refused:
+        with pytest.raises(ValueError, match="above the cap 4096"):
+            check_pair_cap(n1, n2, m)
+    else:
+        check_pair_cap(n1, n2, m)
 
 
 def test_grid_validation():

@@ -173,7 +173,7 @@ def test_controlled_recipe_without_drift_keeps_its_action_channels():
 def test_registry_dispatch():
     rec = make_system("ou", 2, decay=0.3)
     assert rec.id == "ou"
-    assert rec.params["decay"] == 0.3
+    assert np.array_equal(rec.system.A, np.diag([0.3, 0.3]))
     with pytest.raises(KeyError):
         make_system("unknown", 2)
 
