@@ -79,6 +79,8 @@ class StrategyGrid:
             raise ValueError(
                 "intervention times must lie on the Euler grid (h=%g)" % h
             )
+        if np.any(np.abs(on_grid) >= 2.0**63):
+            raise ValueError("step indices up to %d overflow int64" % on_grid.max())
         return on_grid.astype(np.int64)
 
 

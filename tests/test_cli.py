@@ -150,6 +150,11 @@ def test_bad_config_exits_2(tmp_path):
         {"study": "synth", "system": "controlled_relu_drift", "d": 2, "eps": 0.5,
          "cplan": 100.0},
         {"study": "scaling", "system": "controlled_relu_drift"},
+        # JSON bools are not recipe numbers
+        {"study": "game", "d": 2, "params": {"l_mu": True}},
+        {"study": "synth", "system": "ou", "d": 2, "eps": 0.5, "params": {"decay": True}},
+        # step indices past int64
+        {"study": "game", "d": 2, "steps": 2**64},
     ],
 )
 def test_values_a_study_cannot_run_on_exit_2(tmp_path, capsys, cfg):

@@ -119,6 +119,15 @@ def test_grid_validation():
         grid.check_on_grid(1.0, 3)
 
 
+def test_step_indices_beyond_int64_are_refused():
+    grid = _grid(2)
+    # 0.5 of 2**64 steps is step 2**63, one past the largest int64
+    assert grid.check_on_grid(1.0, 2**63).tolist() == [0, 2**62]
+    for steps in (2**64, 2**70):
+        with pytest.raises(ValueError, match="overflow int64"):
+            grid.check_on_grid(1.0, steps)
+
+
 def test_step_actions_row_is_the_action_of_the_interval_holding_the_step():
     from stiffnet.game import _resolve_pairs
 

@@ -37,6 +37,7 @@ from stiffnet.sde import (
     fit_loglog_slope,
     gap_bound,
     moment_bound,
+    reference_steps,
     step_floor,
 )
 
@@ -571,7 +572,7 @@ def test_ou_exact_value_batch_equals_single_points(monkeypatch):
     import stiffnet.sde as sde
 
     exps = []
-    expm = sde.expm
+    expm = sde._expm
 
     def counted(*args, **kwargs):
         exps.append(1)
@@ -582,7 +583,7 @@ def test_ou_exact_value_batch_equals_single_points(monkeypatch):
     betaw = np.array([1.0, 0.5, 2.0])
     xs = np.random.default_rng(3).normal(size=(20, 3))
     singles = [ou_exact_value(A, sigma0, betaw, x, 1.5) for x in xs]
-    monkeypatch.setattr(sde, "expm", counted)
+    monkeypatch.setattr(sde, "_expm", counted)
     batch = ou_exact_value(A, sigma0, betaw, xs, 1.5)
     assert batch.shape == (20,)
     assert np.array_equal(batch, singles)
@@ -649,6 +650,16 @@ def test_ou_exact_value_without_decay_is_exact():
     assert ou_exact_value(np.zeros((2, 2)), np.eye(2), np.ones(2), np.zeros(2), 1.0) == 2.0
 
 
+@pytest.mark.parametrize("n_list", [[8.5, 16], [True, 8], [8, np.bool_(True)], [float("inf")], ["8"]])
+def test_reference_steps_refuses_fractions_and_bools(n_list):
+    with pytest.raises(ValueError, match="integers"):
+        reference_steps(n_list)
+
+
+def test_reference_steps_takes_integral_counts():
+    assert reference_steps([8, 16.0, np.int64(4)]) == 1024
+
+
 def test_cli_import_leaves_out_quadrature():
     import os
     import subprocess
@@ -657,7 +668,11 @@ def test_cli_import_leaves_out_quadrature():
     import stiffnet
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(stiffnet.__file__)))
-    code = "import sys, stiffnet.cli; print('scipy.integrate' in sys.modules)"
+    # no scipy module at all, and not numpy.ma, which np.unique and scipy load
+    code = (
+        "import sys, stiffnet.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -665,7 +680,7 @@ def test_cli_import_leaves_out_quadrature():
         check=True,
         env=dict(os.environ, PYTHONPATH=src),
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_recipe_exact_value_batch_equals_single_points():

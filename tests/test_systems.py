@@ -170,6 +170,27 @@ def test_controlled_recipe_without_drift_keeps_its_action_channels():
     assert np.array_equal(rec.system.mu(0.0, np.ones(2)), np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "recipe, params",
+    [
+        ("ou", {"decay": True}),
+        ("ou", {"noise": np.bool_(False)}),
+        ("ou", {"eta": True}),
+        ("galerkin_heat", {"diffusivity": True}),
+        ("galerkin_heat", {"drift_scale": False}),
+        ("galerkin_heat", {"noise_scale": True}),
+        ("relu_drift", {"l_mu": True}),
+        ("controlled_relu_drift", {"noise_scale": True}),
+        ("controlled_relu_drift", {"m1": True}),
+        ("controlled_relu_drift", {"b2": [[-1.0], [True]]}),
+    ],
+)
+def test_factories_refuse_bools_as_numbers(recipe, params):
+    # JSON true would otherwise build 1.0 through float()
+    with pytest.raises(ValueError, match="must be a number"):
+        make_system(recipe, 2, **params)
+
+
 def test_registry_dispatch():
     rec = make_system("ou", 2, decay=0.3)
     assert rec.id == "ou"
