@@ -13,7 +13,6 @@ Exit codes: 0 pass, 1 assertion/verification failure, 2 config error.
 
 import argparse
 import json
-import locale  # noqa: F401  argparse's gettext loads it with every run's parser
 import math
 import os
 import sys

@@ -8,8 +8,8 @@ share between threads, and all bookkeeping quantities (depth, dims, size)
 are recomputed from the stored shapes on demand.
 
 Each weight is stored in canonical CSR form (sorted column indices, no
-stored zeros, read-only arrays) and evaluated with numpy from those arrays;
-the bias is a dense vector.  The constructions of the calculus are block
+stored zeros, read-only arrays) and evaluated through scipy.sparse; the
+bias is a dense vector.  The constructions of the calculus are block
 structured, so almost every entry is zero, and storage and evaluation cost
 follow the nonzeros.
 
@@ -32,6 +32,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Layer",
@@ -140,17 +141,17 @@ class Layer:
     The weight is held in canonical CSR form, under scipy's names: the
     nonzeros ``data``, their columns ``indices`` (increasing within each
     row), the row starts ``indptr``, and ``shape``; the arrays are
-    read-only.  ``realize`` evaluates a layer through its plan (see
-    ``_plan``), made on first use, since a construction builds many layers
-    that are never evaluated.  ``weight`` builds a read-only dense copy on
-    each access, for inspection only.
+    read-only.  ``csr`` is the scipy.sparse.csr_array over those arrays,
+    made on first use, since a construction builds many layers that are
+    never evaluated.  ``weight`` builds a read-only dense copy on each
+    access, for inspection only.
 
     A stacked layer (see the module docstring) takes an (S, rows, cols)
     weight or (S, nnz) values, and an (S, rows) bias, or a bias shared by
     its members; ``members`` is S, and None for a single layer.
     """
 
-    __slots__ = ("data", "indices", "indptr", "shape", "bias", "members", "_plan")
+    __slots__ = ("data", "indices", "indptr", "shape", "bias", "members", "_csr")
 
     def __init__(self, weight, bias):
         w = _as_csr(weight)
@@ -171,10 +172,23 @@ class Layer:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "bias", _freeze(bias))
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_plan", None)
+        object.__setattr__(self, "_csr", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Layer is immutable")
+
+    @property
+    def csr(self):
+        if self.members is not None:
+            raise NetworkShapeError(
+                "a stacked layer of %d members has no single matrix; unstack its network"
+                % self.members
+            )
+        if self._csr is None:
+            csr = sp.csr_array((self.data, self.indices, self.indptr), shape=self.shape)
+            csr.has_canonical_format = True
+            object.__setattr__(self, "_csr", csr)
+        return self._csr
 
     @property
     def weight(self):
@@ -310,129 +324,6 @@ def unstack(net):
     return [Network([_pick(l, s) for l in net.layers]) for s in range(net.members)]
 
 
-# a row's first _SHORT_STEPS terms are summed by one gather, multiply and
-# slice add per step.  The later terms of the longer rows are gathered at
-# once; they are summed by one slice add per step while the longer rows
-# times the points reach _ACCUMULATE_BELOW, and below that by
-# np.add.accumulate along each row, which costs per term rather than per step
-_SHORT_STEPS = 8
-_ACCUMULATE_BELOW = 512
-# floats in each of realize's two work buffers: points go through in blocks
-# that fit, so a layer's buffer stays in cache
-_BLOCK_FLOATS = 2**17
-
-
-class _Plan(NamedTuple):
-    """How ``_apply`` evaluates one single layer; made once by ``_plan``.
-
-    A term is one weight times its input.  The rows are ranked by falling
-    nonzero count, so the rows that have a k-th term are a prefix of the
-    ranking, and the empty rows come last.  The terms are stored step by
-    step, in rank order within a step: every row's first term, then every
-    second term, and so on; the steps from ``_SHORT_STEPS`` on hold the
-    later terms.  ``_apply`` works in a buffer of ``size`` rows: the ranked
-    rows, a zero, then room for the largest short step or all later terms.
-    """
-
-    cols: np.ndarray  # input unit of each term
-    vals: np.ndarray  # (terms, 1) weights
-    steps: tuple  # (start, rows) of each short step after the first
-    late: int  # where the later terms start
-    later: tuple  # (start, rows) of each later step within the room
-    tail: np.ndarray  # (longer rows, most later terms): their buffer rows, or the zero's
-    rank: np.ndarray  # each row's place in the output
-    bias: np.ndarray  # (rows with terms, 1), ranked
-    fill: np.ndarray  # (empty rows + 1, 1): their biases, then the zero
-    size: int  # buffer rows
-
-
-def _plan(layer):
-    """The evaluation plan of a single layer, built on its first use.
-
-    Biases enter as bias + 0.0: a sum of -0.0 terms is then +0.0, as in
-    scipy's CSR product, which starts each sum from +0.0.
-    """
-    if layer._plan is not None:
-        return layer._plan
-    counts = layer.indptr[1:] - layer.indptr[:-1]
-    rows = len(counts)
-    firsts, bias = layer.indptr[:-1], layer.bias + 0.0  # of each row, by rank
-    rank = np.arange(rows)
-    if np.any(counts[1:] > counts[:-1]):  # most layers of the calculus are ranked
-        order = np.argsort(-counts, kind="stable")
-        rank[order] = np.arange(rows)
-        counts, firsts, bias = counts[order], firsts[order], bias[order]
-    longest = int(counts.max(initial=0))
-    short = min(longest, _SHORT_STEPS)
-    having = np.searchsorted(-counts, -np.arange(longest + 1))  # rows with more terms
-    starts = np.cumsum(having[:-1]) - having[:-1]  # of each step
-    entries = [firsts[: having[k]] + k for k in range(short)]
-    late = int(starts[short]) if longest > short else len(layer.data)
-    work = int(having[1]) if short > 1 else 0
-    tail = np.empty((0, 0), dtype=np.intp)
-    if longest > short:
-        # step k of the longer rows that have one; the room starts at row rows + 1
-        k = np.arange(short, longest)
-        there = np.arange(having[short]) < having[short:-1, None]
-        entries.append((firsts[: having[short]] + k[:, None])[there])
-        at = rows + 1 + starts[short:] - late
-        tail = np.where(there.T, at + np.arange(having[short])[:, None], rows)
-        work = max(work, len(layer.data) - late)
-    entries = np.concatenate(entries) if entries else np.zeros(0, dtype=np.intp)
-    bias = bias[:, None]
-    plan = _Plan(
-        layer.indices[entries],
-        layer.data[entries][:, None],
-        tuple(zip(starts[1:short].tolist(), having[1:short].tolist())),
-        late,
-        tuple(zip((starts[short:] - late).tolist(), having[short:-1].tolist())),
-        tail,
-        rank,
-        bias[: having[0]],
-        np.concatenate((bias[having[0] :], [[0.0]])),
-        rows + 1 + work,
-    )
-    object.__setattr__(layer, "_plan", plan)
-    return plan
-
-
-def _apply(plan, h, cols, buf):
-    """The layer's affine map on each column of h, its rows in rank order.
-
-    `cols` is ``plan.cols`` as rows of h, and the result is the first rows
-    of `buf`.  Each output starts from its row's first term and adds the
-    others in column order, then the bias.  That is scipy's CSR product
-    from +0.0 plus the bias, bit for bit: the two sums differ only where
-    every term is -0.0, and adding the bias + 0.0 makes both +0.0 there.
-    The columns are in range, and np.take's "clip" mode writes into `out`
-    directly where "raise" would buffer it.
-    """
-    n0, rows = len(plan.bias), len(plan.rank)
-    acc, work = buf[:rows], buf[rows + 1 :]
-    np.take(h, cols[:n0], axis=0, out=acc[:n0], mode="clip")
-    acc[:n0] *= plan.vals[:n0]
-    buf[n0 : rows + 1] = plan.fill
-    for start, n in plan.steps:
-        np.take(h, cols[start : start + n], axis=0, out=work[:n], mode="clip")
-        work[:n] *= plan.vals[start : start + n]
-        acc[:n] += work[:n]
-    if plan.tail.size:
-        later = len(cols) - plan.late
-        np.take(h, cols[plan.late :], axis=0, out=work[:later], mode="clip")
-        work[:later] *= plan.vals[plan.late :]
-        if len(plan.tail) * h.shape[1] >= _ACCUMULATE_BELOW:
-            for start, n in plan.later:
-                acc[:n] += work[start : start + n]
-        else:
-            # a row's first later term plus its sum so far (addition commutes)
-            tail = buf[plan.tail]
-            tail[:, 0] += acc[: len(tail)]
-            np.add.accumulate(tail, axis=1, out=tail)
-            acc[: len(tail)] = tail[:, -1]
-    acc[:n0] += plan.bias
-    return acc
-
-
 def realize(net, x):
     """Evaluate the network function at x.
 
@@ -440,8 +331,7 @@ def realize(net, x):
     axis has length dim_in; the function is applied along the last axis.
     ReLU is applied after every layer except the last.  Each output is
     summed over its row's nonzeros in column order, so a batch gives the
-    same bits as its points one at a time, and the same bits as scipy's
-    CSR product.
+    same bits as its points one at a time.
     """
     _require_single(net, "realize")
     x = np.asarray(x, dtype=np.float64)
@@ -456,26 +346,16 @@ def realize(net, x):
             "input has %d components but network expects %d"
             % (x.shape[-1], net.dim_in)
         )
-    plans = [_plan(layer) for layer in net.layers]
-    # each layer's output rows come in its plan's rank order
-    cols = [plans[0].cols] + [p.rank[q.cols] for p, q in zip(plans, plans[1:])]
-    points = x.reshape(-1, net.dim_in)
-    out = np.empty((len(points), net.dim_out))
-    size = max(p.size for p in plans)
-    # even blocks of points whose buffers fit in _BLOCK_FLOATS, or single points
-    blocks = max(1, -(-len(points) * size // _BLOCK_FLOATS))
-    block = max(1, -(-len(points) // blocks))
-    spaces = np.empty((2, size * min(block, len(points))))  # each layer reads the other
-    for at in range(0, len(points), block):
-        # one row per unit and one column per point, so a gather takes whole rows
-        h = np.ascontiguousarray(points[at : at + block].T)
-        for l, (plan, c) in enumerate(zip(plans, cols)):
-            if l:
-                np.maximum(h, 0.0, out=h)
-            buf = spaces[l % 2][: plan.size * h.shape[1]].reshape(plan.size, -1)
-            h = _apply(plan, h, c, buf)
-        out[at : at + block] = h[plans[-1].rank].T
-    return out.reshape(x.shape[:-1] + (net.dim_out,))
+    # one column per point, so each layer is one CSR product
+    h = np.ascontiguousarray(x.reshape(-1, net.dim_in).T)
+    for layer in net.layers[:-1]:
+        h = layer.csr @ h
+        h += layer.bias[:, None]
+        np.maximum(h, 0.0, out=h)
+    last = net.layers[-1]
+    h = last.csr @ h
+    h += last.bias[:, None]
+    return np.ascontiguousarray(h.T).reshape(x.shape[:-1] + (net.dim_out,))
 
 
 def fold_affine(net, side, mat, vec=None):

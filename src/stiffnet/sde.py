@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import numpy.random  # at import, so the first draw of a study does not load it
 
 __all__ = [
     "StiffSystem",

@@ -191,7 +191,7 @@ def test_layer_stores_canonical_csr_and_a_dense_view():
     assert layer.data.tolist() == [2.0, 1.0, 3.0]  # no stored zeros
     assert layer.indices.tolist() == [1, 0, 2]  # sorted within each row
     assert layer.indptr.tolist() == [0, 1, 3]
-    assert layer.shape == (2, 3)
+    assert layer.csr.nnz == 3 and layer.csr.shape == (2, 3)
     assert np.array_equal(layer.weight, w)
     with pytest.raises(ValueError):
         layer.data[0] = 5.0
@@ -249,6 +249,7 @@ def test_a_stack_fails_loudly_outside_the_builders(tmp_path):
     assert np.array_equal(dense, w) and not np.signbit(dense[1, 0, 1])
     for call in (
         lambda: realize(stack, np.zeros(2)),
+        lambda: stack.layers[0].csr,
         lambda: network_to_text(stack),
         lambda: save_network(stack, os.path.join(tmp_path, "stack.txt")),
     ):

@@ -190,72 +190,6 @@ def test_realize_batch_equals_single_points(net, data):
     assert batch.tobytes() == np.stack([realize(net, x) for x in xs]).tobytes()
 
 
-# weights, biases and inputs: signed zeros (a weight's is not stored), values
-# whose products round, and values whose sums cancel to zero
-_SIGNED = np.array([-0.0, 0.0, 1.0, -1.0, 0.1, -0.3, 2.5, 1e-300, -1e300])
-
-
-def _sparse_network(rng, dims):
-    """Layers whose rows hold 0 to 20 nonzeros, so some rows are empty and
-    some are longer than realize's short steps."""
-    layers = []
-    for n_in, n_out in zip(dims[:-1], dims[1:]):
-        w = np.zeros((n_out, n_in))
-        for row in w:
-            count = min(n_in, rng.choice([0, 1, 2, 3, 7, 8, 9, 12, 20]))
-            cols = rng.choice(n_in, count, replace=False)
-            row[cols] = np.where(rng.random(count) < 0.5, rng.choice(_SIGNED, count),
-                                 rng.normal(size=count))
-        bias = np.where(rng.random(n_out) < 0.5, rng.choice(_SIGNED, n_out),
-                        rng.normal(size=n_out))
-        layers.append(Layer(w, bias))
-    return Network(layers)
-
-
-def _column_order(net, xs):
-    """Each output from +0.0, adding its row's terms in column order, then the
-    bias: scipy's CSR product, one point column at a time."""
-    h = xs
-    for l, layer in enumerate(net.layers):
-        out = np.empty((len(h), layer.fan_out))
-        for r in range(layer.fan_out):
-            acc = np.zeros(len(h))
-            for e in range(layer.indptr[r], layer.indptr[r + 1]):
-                acc = acc + layer.data[e] * h[:, layer.indices[e]]
-            out[:, r] = acc + layer.bias[r]
-        h = out if l == net.depth - 1 else np.maximum(out, 0.0)
-    return h
-
-
-def _scipy_product(net, xs):
-    from scipy.sparse import csr_array
-
-    h = xs.T
-    for l, layer in enumerate(net.layers):
-        w = csr_array((layer.data, layer.indices, layer.indptr), shape=layer.shape)
-        h = w @ h + layer.bias[:, None]
-        h = h if l == net.depth - 1 else np.maximum(h, 0.0)
-    return np.ascontiguousarray(h.T)
-
-
-@PROPERTY
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dims=st.lists(st.integers(1, 24), min_size=2, max_size=4),
-    n_points=st.sampled_from([1, 2, 20, 256]),
-)
-def test_realize_is_the_column_order_sum_bit_for_bit(seed, dims, n_points):
-    rng = np.random.default_rng(seed)
-    net = _sparse_network(rng, dims)
-    xs = np.where(rng.random((n_points, dims[0])) < 0.3,
-                  rng.choice(_SIGNED, (n_points, dims[0])), rng.normal(size=(n_points, dims[0])))
-    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 * -1e300, inf - inf
-        got = realize(net, xs)
-        assert got.tobytes() == _column_order(net, xs).tobytes()
-        assert got.tobytes() == _scipy_product(net, xs).tobytes()
-        assert got.tobytes() == np.stack([realize(net, x) for x in xs]).tobytes()
-
-
 @PROPERTY
 @given(networks(elements=SMALL_FLOAT), st.data())
 def test_fold_affine_commutes_with_realize(net, data):
