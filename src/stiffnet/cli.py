@@ -678,6 +678,9 @@ def setup_scaling(cfg):
     horizon = float(cfg["horizon"])
     d_list = [int(v) for v in cfg["d_list"]]
     eps_list = [float(v) for v in cfg["eps_list"]]
+    for name, values in (("d_list", d_list), ("eps_list", eps_list)):
+        if len(set(values)) < max(len(values), 2):  # a slope needs two distinct points
+            raise ValueError("%s needs two or more distinct entries: %s" % (name, values))
     d_fixed = int(cfg["d_fixed"])
     eps_fixed = float(cfg["eps_fixed"])
     # one recipe, so one validation, per distinct dimension; d=2 is the probe
@@ -831,7 +834,7 @@ def run_verify(cfg, out_dir):
         print("verify: no prior manifest at %s" % manifest_path, file=sys.stderr)
         return EXIT_FAIL
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        manifest = json.load(fh, parse_constant=str)  # NaN reads "NaN", equal to itself
     for name in manifest["artifacts"]:
         if not os.path.exists(os.path.join(out_dir, name)):
             print("verify: missing artifact %s" % name, file=sys.stderr)
@@ -839,7 +842,7 @@ def run_verify(cfg, out_dir):
     with tempfile.TemporaryDirectory() as tmp:
         run_study(cfg, tmp)
         with open(os.path.join(tmp, "manifest.json")) as fh:
-            fresh = json.load(fh)
+            fresh = json.load(fh, parse_constant=str)
         # every manifest key but the wall clock, then each artifact both runs wrote
         diffs = [
             "manifest %s was %r, now %r" % (key, manifest.get(key), fresh.get(key))

@@ -531,10 +531,10 @@ def _step_count(n):
 
 
 def reference_steps(n_list):
-    """Fine step count 64 max(n_list); every N must divide it."""
+    """Fine step count 64 max(n_list); every N must divide it, and none may repeat."""
     n_list = [_step_count(n) for n in n_list]
-    if not n_list or min(n_list) <= 0:
-        raise ValueError("n_list must be a non-empty list of positive step counts")
+    if not n_list or min(n_list) <= 0 or len(set(n_list)) < len(n_list):
+        raise ValueError("n_list must be a non-empty list of distinct positive step counts")
     n_ref = _REF_REFINE * max(n_list)
     bad = [n for n in n_list if n_ref % n]
     if bad:

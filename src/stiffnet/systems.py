@@ -51,13 +51,13 @@ class SystemRecipe:
         return ou_exact_value(self.system.A, self.sigma0, betaw, x0, horizon)
 
 
-def _constant_net(d, width, value=0.0, extra_in=0):
-    # input (t, x[, u]); realizes the constant vector `value` (zero drift by default)
+def _constant_net(d, value=0.0, extra_in=0):
+    # input (t, x[, u]); one hidden unit realizes the constant `value` (zero drift by default)
     n_in = d + 1 + extra_in
     return Network(
         [
-            Layer(np.zeros((width, n_in)), np.zeros(width)),
-            Layer(np.zeros((d, width)), np.broadcast_to(value, (d,))),
+            Layer(np.zeros((1, n_in)), np.zeros(1)),
+            Layer(np.zeros((d, 1)), np.broadcast_to(value, (d,))),
         ]
     )
 
@@ -115,14 +115,12 @@ def _diagonal_recipe(
     s = float(noise)
     actions = np.zeros((d, 0)) if actions is None else actions
     m = actions.shape[1]
-    relu_net = c != 0.0 or m > 0
     beta = c + eta * c * c
     if sigma_kind == "const":
         sigma0 = s * np.eye(d)
         noise = lambda t, x, db: s * db
         sigma_l0, sigma_l1 = s * np.sqrt(d), 0.0
-        width = d + 2 * m if relu_net else 1  # the drift net's, or 1 for a constant
-        cols = [_constant_net(d, width, sigma0[:, i], m) for i in range(d)]
+        cols = [_constant_net(d, sigma0[:, i], m) for i in range(d)]
     elif sigma_kind == "diag":
         sigma0 = None
         noise = lambda t, x, db: (s * np.asarray(x, dtype=np.float64)) * db
@@ -132,10 +130,7 @@ def _diagonal_recipe(
     else:
         raise ValueError("sigma_kind must be 'const' or 'diag'")
     mu = _zero_drift if c == 0.0 else (lambda t, x: c * np.maximum(x, 0.0))
-    if relu_net:
-        mu_net = _relu_drift_net(d, c, actions)
-    else:  # the zero drift, as wide as the noise columns
-        mu_net = _constant_net(d, cols[0].dims[1])
+    mu_net = _relu_drift_net(d, c, actions) if c != 0.0 or m > 0 else _constant_net(d)
 
     sysm = StiffSystem(
         d=d,

@@ -155,6 +155,13 @@ def test_bad_config_exits_2(tmp_path):
         {"study": "synth", "system": "ou", "d": 2, "eps": 0.5, "params": {"decay": True}},
         # step indices past int64
         {"study": "game", "d": 2, "steps": 2**64},
+        # a slope needs two distinct points: one entry, or one repeated
+        {"study": "scaling", "d_list": [4]},
+        {"study": "scaling", "eps_list": [0.2]},
+        {"study": "scaling", "d_list": [2, 2]},
+        {"study": "scaling", "eps_list": [0.4, 0.2, 0.2]},
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8, 8]},
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8, 8, 16]},
     ],
 )
 def test_values_a_study_cannot_run_on_exit_2(tmp_path, capsys, cfg):
@@ -389,6 +396,18 @@ def test_verify_reproduces_and_detects_change(tmp_path):
     # a different seed must be flagged
     other = _write_config(tmp_path, dict(GAME_CFG, seed=6), name="other.json")
     assert main(["verify", "--config", other, "--out", out]) == EXIT_FAIL
+
+
+def test_verify_reproduces_a_nan_result(tmp_path):
+    # one step count gives no strong slope: the run fails with NaN in its
+    # manifest, and an unchanged rerun still verifies
+    cfg = {"study": "convergence", "system": "ou", "d": 2, "n_list": [8], "paths": 64,
+           "seed": 1}
+    path = _write_config(tmp_path, cfg)
+    out = os.path.join(tmp_path, "out")
+    assert main(["convergence", "--config", path, "--out", out]) == EXIT_FAIL
+    assert math.isnan(_read_manifest(out)["strong_slope"])
+    assert main(["verify", "--config", path, "--out", out]) == EXIT_OK
 
 
 def _flip_network_byte(out):

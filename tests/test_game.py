@@ -374,6 +374,32 @@ def test_pair_value_nets_are_the_per_pair_nets_byte_for_byte(name):
         assert one_report == report
 
 
+def test_default_pair_stack_is_as_wide_as_its_coefficient_nets(monkeypatch):
+    # each step's last hidden layer carries the state pair (2d), the drift
+    # net's relu(x), relu(u), relu(-u) (d + 2m) and one unit per constant
+    # noise column (d): 12 units at d = 2 with one action per player
+    import stiffnet.synthesis as synthesis
+
+    widths = []
+    add_compose = synthesis.add_compose
+
+    def watched(*args):
+        psi = add_compose(*args)
+        widths.append((psi.members, psi.dims[-2]))
+        return psi
+
+    monkeypatch.setattr(synthesis, "add_compose", watched)
+    spec = PAIR_GRIDS["default"]
+    rec, budget, cost, grid = _pair_game(spec)
+    s1, s2 = enumerate_strategies(grid)
+    _, report = pair_value_nets(s1, s2, rec, cost, budget, spec["seed"], grid)
+    d, m = spec["d"], sum(rec.control_dims)
+    members = spec["paths"] * len(s1) * len(s2)
+    assert 2 * d + (d + 2 * m) + d == 12
+    assert widths == [(members, 12)] * spec["steps"]
+    assert report["width_condition_ok"]
+
+
 def test_brute_force_batch_equals_single_points_in_one_simulation(monkeypatch):
     import stiffnet.game as game
 

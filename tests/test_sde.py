@@ -656,6 +656,13 @@ def test_reference_steps_refuses_fractions_and_bools(n_list):
         reference_steps(n_list)
 
 
+@pytest.mark.parametrize("n_list", [[8, 8], [8, 8, 16], [16, 8, 16.0]])
+def test_reference_steps_refuses_repeated_counts(n_list):
+    # a repeated N would weigh one point twice in the rate fit
+    with pytest.raises(ValueError, match="distinct"):
+        reference_steps(n_list)
+
+
 def test_reference_steps_takes_integral_counts():
     assert reference_steps([8, 16.0, np.int64(4)]) == 1024
 

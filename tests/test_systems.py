@@ -122,6 +122,33 @@ def test_coefficient_nets_share_architecture():
         assert len(sigs) == 1
 
 
+@pytest.mark.parametrize(
+    "rec, m, mu_kind, col_kind",
+    [
+        (make_ou(3), 0, "const", "const"),
+        (make_ou(3, sigma_kind="diag"), 0, "const", "diag"),
+        (make_galerkin_heat(3, drift_scale=0.4), 0, "relu", "const"),
+        (make_galerkin_heat(3, sigma_kind="diag"), 0, "const", "diag"),
+        (make_galerkin_heat(3, drift_scale=0.4, sigma_kind="diag"), 0, "relu", "diag"),
+        (make_relu_drift_system(3, l_mu=0.5, noise_scale=0.1), 0, "relu", "const"),
+        (make_controlled_relu_drift(3), 2, "relu", "const"),
+        (make_controlled_relu_drift(3, l_mu=0.0, m2=2), 3, "relu", "const"),
+    ],
+)
+def test_constant_coefficient_nets_have_one_hidden_unit(rec, m, mu_kind, col_kind):
+    # a constant needs one unit whatever the other nets' widths; the
+    # ReLU drift carries relu(x), relu(u), relu(-u) and a diagonal column
+    # the (relu, relu-of-minus) pair of its coordinate
+    d = rec.d
+    dims = {
+        "const": (d + 1 + m, 1, d),
+        "relu": (d + 1 + m, d + 2 * m, d),
+        "diag": (d + 1 + m, 2, d),
+    }
+    assert rec.mu_net.dims == dims[mu_kind]
+    assert [c.dims for c in rec.sigma_col_nets] == [dims[col_kind]] * d
+
+
 def test_relu_drift_recipe():
     rec = make_relu_drift_system(2, l_mu=1.0, eta=0.5)
     assert rec.system.beta == pytest.approx(1.0 + 0.5)
