@@ -597,18 +597,19 @@ def square_unit_net(eps):
     k*2^-S (error exactly 0 there) and deviates at most 4^-(S+1) <= eps in
     between; outside [0,1] every tooth vanishes and f_S(x) = x.
 
-    Each hidden layer carries six channels: relu(x), relu(-x) (the input
-    carrier), the accumulated nonnegative tooth sum, and the three ReLU
-    units that feed the next tooth.  Depth S+1, so size is O(log(1/eps)).
+    The hidden layers after the first carry six channels: relu(x),
+    relu(-x) (the input carrier), the accumulated nonnegative tooth sum,
+    and the three ReLU units that feed the next tooth.  The first layer has
+    no tooth to sum yet, so it carries the other five.  Depth S+1, so size
+    is O(log(1/eps)).
     """
     s_terms = _sawtooth_terms(eps)
     tooth = np.array([2.0, -4.0, 2.0])
     offsets = np.array([0.0, -0.5, -1.0])
 
-    first_w = np.array([[1.0], [-1.0], [0.0], [1.0], [1.0], [1.0]])
-    first_b = np.array([0.0, 0.0, 0.0, 0.0, -0.5, -1.0])
-    layers = [Layer(first_w, first_b)]
-
+    first_w = np.array([[1.0], [-1.0], [1.0], [1.0], [1.0]])
+    first_b = np.array([0.0, 0.0, 0.0, -0.5, -1.0])
+    rest = []
     for k in range(2, s_terms + 1):
         w = np.zeros((6, 6))
         b = np.zeros(6)
@@ -619,15 +620,18 @@ def square_unit_net(eps):
         for row in range(3):
             w[3 + row, 3:6] = tooth
             b[3 + row] = offsets[row]
-        layers.append(Layer(w, b))
+        rest.append((w, b))
 
     out_w = np.zeros((1, 6))
     out_w[0, 0] = 1.0
     out_w[0, 1] = -1.0
     out_w[0, 2] = -1.0
     out_w[0, 3:6] = -tooth / 4.0**s_terms
-    layers.append(Layer(out_w, np.zeros(1)))
-    return Network(layers)
+    rest.append((out_w, np.zeros(1)))
+    # the first layer has no sum channel, so drop the column that reads it
+    w, b = rest[0]
+    rest[0] = (np.delete(w, 2, axis=1), b)
+    return Network([Layer(first_w, first_b)] + [Layer(w, b) for w, b in rest])
 
 
 SQUARE_SIZE_COEFF = 64

@@ -143,7 +143,7 @@ def load_config(path, expected_study=None):
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     study = cfg.get("study")
-    if study not in _SCHEMAS:
+    if not isinstance(study, str) or study not in _SCHEMAS:
         raise ConfigError(
             "unknown or missing study %r (known: %s)"
             % (study, ", ".join(sorted(_SCHEMAS)))
@@ -624,7 +624,7 @@ def setup_game(cfg):
         cplan=1.0,
         horizon=horizon,
     )
-    cost = make_quadratic_cost(np.ones(d), budget.radius, 1e-4)
+    cost = plan_cost(d, budget, recipe.system.kappa0)
     times = np.array([k * horizon / n_int for k in range(n_int)])
 
     def g_cost(u1_seq, u2_seq):

@@ -365,6 +365,10 @@ def _trajectory(sys, coeffs, x0, cfg, bundle, noise=None):
         raise ValueError("x0 has wrong dimension")
     if bundle.n_steps < cfg.steps:
         raise ValueError("bundle has fewer steps than the configuration")
+    if bundle.h != cfg.h:
+        raise ValueError(
+            "bundle step size %r differs from the configuration's %r" % (bundle.h, cfg.h)
+        )
     if noise is None:
         noise = bundle.stream(cfg.steps)
     factor = ImplicitFactor(sys.A, cfg.h)

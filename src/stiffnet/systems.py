@@ -10,6 +10,7 @@ All recipes are validated against the monotonicity/regularity hypotheses at
 construction time.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -85,11 +86,17 @@ def _diag_column_net(d, i, scale):
     return Network([Layer(w1, np.zeros(2)), Layer(w2, np.zeros(d))])
 
 
-def _refuse_bools(**params):
-    """ValueError for a bool among numeric parameters: JSON true is not 1.0."""
+def _refuse_non_numbers(**params):
+    """ValueError for a bool or a non-finite number among numeric parameters.
+
+    JSON true is not 1.0, and Python's json reads NaN and Infinity.
+    """
     for name, value in params.items():
-        if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
-            raise ValueError("%s must be a number, got %r" % (name, value))
+        for v in np.asarray(value, dtype=object).flat:
+            if isinstance(v, (bool, np.bool_)):
+                raise ValueError("%s must be a number, got %r" % (name, value))
+            if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+                raise ValueError("%s must be finite, got %r" % (name, value))
 
 
 def _zero_drift(t, x):
@@ -168,7 +175,7 @@ def make_ou(d, decay=0.5, noise=0.1, eta=0.5, sigma_kind="const"):
     value oracle applies); "diag" gives the linear multiplicative noise
     noise * diag(x), which exhibits the h^(1/2) strong rate.
     """
-    _refuse_bools(decay=decay, noise=noise, eta=eta)
+    _refuse_non_numbers(decay=decay, noise=noise, eta=eta)
     a = float(decay)
     s = float(noise)
     return _diagonal_recipe(
@@ -186,7 +193,7 @@ def make_galerkin_heat(
     two-layer ReLU network).  sigma_kind "const" gives a constant diagonal
     noise matrix, "diag" the multiplicative noise_scale * diag(x).
     """
-    _refuse_bools(
+    _refuse_non_numbers(
         diffusivity=diffusivity, drift_scale=drift_scale, noise_scale=noise_scale, eta=eta
     )
     a = float(diffusivity)
@@ -213,7 +220,7 @@ def make_relu_drift_system(d, l_mu=1.0, eta=0.5, noise_scale=0.0):
     The drift is l_mu-Lipschitz and monotone, so beta = l_mu + eta l_mu^2
     suffices; the drift network reproduces it exactly (gamma = 0).
     """
-    _refuse_bools(l_mu=l_mu, eta=eta, noise_scale=noise_scale)
+    _refuse_non_numbers(l_mu=l_mu, eta=eta, noise_scale=noise_scale)
     l_mu = float(l_mu)
     s = float(noise_scale)
     return _diagonal_recipe("relu_drift", d, np.zeros(d), l_mu, s, eta, "const", 1.0)
@@ -230,7 +237,7 @@ def make_controlled_relu_drift(
     validated.  Coefficient networks take (t, x, u1, u2) with the action
     carried through a (relu(u), relu(-u)) channel pair.
     """
-    _refuse_bools(l_mu=l_mu, eta=eta, noise_scale=noise_scale, b1=b1, b2=b2, m1=m1, m2=m2)
+    _refuse_non_numbers(l_mu=l_mu, eta=eta, noise_scale=noise_scale, b1=b1, b2=b2, m1=m1, m2=m2)
     l_mu = float(l_mu)
     s = float(noise_scale)
     if b1 is None:

@@ -432,6 +432,25 @@ def test_square_unit_max_error_between_nodes():
     assert np.max(err) == pytest.approx(4.0 ** (-2), abs=1e-12)
 
 
+def _dead_rows(net):
+    """Hidden rows with no weight and bias <= 0: their ReLU outputs 0 on every input."""
+    return sum(
+        int(np.sum(~np.any(l.weight != 0.0, axis=1) & (l.bias <= 0.0)))
+        for l in net.layers[:-1]
+    )
+
+
+def test_square_nets_have_no_always_zero_unit():
+    # the first layer has no tooth to sum yet, so it carries five channels
+    assert square_unit_net(1e-2).dims == (1, 5, 6, 6, 1)
+    rng = np.random.default_rng(5)
+    for eps in (0.4, 1e-1, 1e-2, 1e-4):
+        assert _dead_rows(square_unit_net(eps)) == 0
+        for d in (1, 2, 3):
+            _, net = weighted_square_net(rng.uniform(0.5, 2.0, size=d), 3.0, eps)
+            assert _dead_rows(net) == 0
+
+
 def test_square_unit_rejects_bad_eps():
     for eps in (0.0, 0.5, 1.0, -0.1):
         with pytest.raises(ValueError):

@@ -9,11 +9,12 @@ import os
 import tempfile
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiffnet import PathBundle
+from stiffnet import PathBundle, realize
 from stiffnet.cli import (
     _SCHEMAS,
     _SETUPS,
@@ -27,7 +28,7 @@ from stiffnet.cli import (
     resolve_seed,
 )
 from stiffnet.sde import _WINDOW
-from stiffnet.synthesis import BudgetError
+from stiffnet.synthesis import BudgetError, plan_cost
 
 
 def _write_config(tmp_path, cfg, name="cfg.json"):
@@ -88,6 +89,15 @@ def test_load_config_rejects_bad_json(tmp_path):
         fh.write("{not json")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("study", [["game"], {"a": 1}])
+def test_study_that_is_not_a_string_exits_2(tmp_path, capsys, study):
+    path = _write_config(tmp_path, {"study": study, "d": 2})
+    out = os.path.join(tmp_path, "out")
+    assert main(["game", "--config", path, "--out", out]) == EXIT_CONFIG
+    assert "unknown or missing study" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_bad_config_exits_2(tmp_path):
@@ -153,6 +163,12 @@ def test_bad_config_exits_2(tmp_path):
         # JSON bools are not recipe numbers
         {"study": "game", "d": 2, "params": {"l_mu": True}},
         {"study": "synth", "system": "ou", "d": 2, "eps": 0.5, "params": {"decay": True}},
+        # Python's json reads NaN and Infinity, which are not recipe numbers either
+        {"study": "synth", "system": "ou", "d": 2, "eps": 0.5,
+         "params": {"decay": math.inf}},
+        {"study": "game", "d": 2, "params": {"b1": [[math.nan], [1]]}},
+        {"study": "convergence", "system": "galerkin_heat", "d": 2, "paths": 8,
+         "n_list": [8], "params": {"diffusivity": math.nan}},
         # step indices past int64
         {"study": "game", "d": 2, "steps": 2**64},
         # a slope needs two distinct points: one entry, or one repeated
@@ -452,6 +468,34 @@ def test_verify_without_prior_run(tmp_path):
     empty = os.path.join(tmp_path, "empty")
     os.makedirs(empty)
     assert main(["verify", "--config", path, "--out", empty]) == EXIT_FAIL
+
+
+def test_game_eps_sizes_the_cost_net(tmp_path, monkeypatch):
+    import stiffnet.cli as cli
+
+    built = []
+    pair_value_nets = cli.pair_value_nets
+
+    def watched(s1, s2, recipe, cost, budget, *rest):
+        built.append((recipe, cost, budget))
+        return pair_value_nets(s1, s2, recipe, cost, budget, *rest)
+
+    monkeypatch.setattr(cli, "pair_value_nets", watched)
+    sizes = []
+    for eps in (0.25, 0.5):
+        path = _write_config(tmp_path, dict(GAME_CFG, eps=eps))
+        out = os.path.join(tmp_path, "out%g" % eps)
+        assert main(["game", "--config", path, "--out", out]) == EXIT_OK
+        with open(os.path.join(out, "game.csv")) as fh:
+            sizes.append(int(next(csv.DictReader(fh))["net_size"]))
+    # a finer eps needs one more sawtooth stage in the cost net
+    assert sizes[0] > sizes[1]
+    xs = np.random.default_rng(0).uniform(-5.0, 5.0, (200, GAME_CFG["d"]))
+    for recipe, cost, budget in built:
+        want = plan_cost(GAME_CFG["d"], budget, recipe.system.kappa0)
+        assert cost.net.dims == want.net.dims and cost.theta == want.theta
+        assert np.array_equal(realize(cost.net, xs), realize(want.net, xs))
+    assert built[0][1].net.depth == built[1][1].net.depth + 1
 
 
 def test_csv_floats_use_17_significant_digits(tmp_path):

@@ -18,7 +18,6 @@ from stiffnet import (
     game_delta,
     infsup_net,
     make_controlled_relu_drift,
-    make_quadratic_cost,
     network_to_text,
     pad_to_pow2,
     pair_value_nets,
@@ -346,10 +345,17 @@ def _pair_game(spec):
     d = spec["d"]
     u1, u2 = np.array(spec["u1"]), np.array(spec["u2"])
     rec = make_controlled_relu_drift(d, m1=u1.shape[1], m2=u2.shape[1])
-    budget = _budget(spec["steps"], spec["paths"])
-    cost = make_quadratic_cost(
-        np.ones(d), truncation_radius(budget.h, rec.system.eta), 1e-4
+    kappa0 = rec.system.kappa0
+    budget = SynthesisBudget(
+        eps=0.25,
+        delta=game_delta(0.25, d, kappa0, len(spec["times"])),
+        radius=truncation_radius(1.0 / spec["steps"], rec.system.eta),
+        steps=spec["steps"],
+        paths=spec["paths"],
+        cplan=1.0,
+        horizon=1.0,
     )
+    cost = plan_cost(d, budget, kappa0)
     grid = StrategyGrid(
         times=spec["times"], u1_actions=u1, u2_actions=u2,
         g=lambda a, b: float(np.sum(a**2) - np.sum(b**2)),

@@ -378,6 +378,21 @@ def test_simulate_deterministic_given_seed():
     assert np.array_equal(runs[0], runs[1])
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda sys, x0, cfg, b: simulate(sys, exact_coefficients(sys), x0, cfg, b),
+        lambda sys, x0, cfg, b: coupled_gap_check(sys, exact_coefficients(sys), x0, cfg, b),
+        lambda sys, x0, cfg, b: moment_check(sys, x0, cfg, b),
+    ],
+)
+def test_scheme_refuses_a_bundle_of_another_step_size(run):
+    # increments of variance 100 on a grid of step 1/8 would run without error
+    rec = make_ou(2, decay=0.5, noise=0.3)
+    with pytest.raises(ValueError, match="step size"):
+        run(rec.system, np.ones(2), EulerConfig(1.0, 8), PathBundle(1, 16, 8, 2, 100.0))
+
+
 def test_simulate_batch_rows_equal_single_point_runs():
     # row [p, m] of a batched run is start point p driven by path m's noise
     m = np.random.default_rng(3).normal(size=(4, 4))

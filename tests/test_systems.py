@@ -1,5 +1,7 @@
 """System and cost generators: hypothesis compliance and exact networks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,24 @@ def test_controlled_recipe_without_drift_keeps_its_action_channels():
 def test_factories_refuse_bools_as_numbers(recipe, params):
     # JSON true would otherwise build 1.0 through float()
     with pytest.raises(ValueError, match="must be a number"):
+        make_system(recipe, 2, **params)
+
+
+@pytest.mark.parametrize(
+    "recipe, params, name",
+    [
+        ("ou", {"decay": math.inf}, "decay"),
+        ("ou", {"noise": -math.inf}, "noise"),
+        ("galerkin_heat", {"diffusivity": math.nan}, "diffusivity"),
+        ("relu_drift", {"l_mu": np.float64(math.nan)}, "l_mu"),
+        ("controlled_relu_drift", {"eta": math.nan}, "eta"),
+        ("controlled_relu_drift", {"b1": [[math.nan], [1.0]]}, "b1"),
+        ("controlled_relu_drift", {"b2": np.array([[-1.0], [math.inf]])}, "b2"),
+    ],
+)
+def test_factories_refuse_non_finite_numbers(recipe, params, name):
+    # Python's json reads NaN and Infinity, and A = inf * I passes validation
+    with pytest.raises(ValueError, match="%s must be finite" % name):
         make_system(recipe, 2, **params)
 
 
