@@ -45,14 +45,13 @@ from .sde import (
     validate_system,
 )
 from .synthesis import (
-    Measure,
     SynthesisBudget,
     calibrate_cplan,
+    cube_tau,
     l2_error,
     mc_reference,
     plan_budget,
     truncation_radius,
-    uniform_cube_measure,
     unroll_value_net,
 )
 from .game import (

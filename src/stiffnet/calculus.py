@@ -577,9 +577,11 @@ def min_tree(nets):
 
 
 def max_tree_bound(leaf_size, n_levels):
-    """The 8^n (C + 34/7) - 34/7 size bound, exact in rational arithmetic."""
-    num = 8**n_levels * (7 * leaf_size + 34) - 34
-    return num / 7.0
+    """The 8^n (C + 34/7) - 34/7 size bound, as an exact int.
+
+    7 divides 8^n (7 C + 34) - 34 because 8 is 1 modulo 7.
+    """
+    return (8**n_levels * (7 * leaf_size + 34) - 34) // 7
 
 
 def _sawtooth_terms(eps):

@@ -55,12 +55,12 @@ from .synthesis import (
     calibrate_cplan,
     coefficients_from_nets,
     cplan_floor,
+    cube_tau,
     l2_error,
     mc_reference,
     plan_budget,
     plan_cost,
     truncation_radius,
-    uniform_cube_measure,
     unroll_value_net,
 )
 from .systems import (
@@ -270,6 +270,19 @@ def write_manifest(out_dir, study, cfg, seed, artifacts, extra, wall_ms, status)
         fh.write("\n")
 
 
+def _recipe(cfg, d):
+    """The config's recipe at dimension d; only game gives a recipe actions."""
+    recipe = make_system(cfg["system"], d, **cfg["params"])
+    if recipe.control_dims is not None:
+        raise ConfigError("system %r takes actions, which only game gives" % recipe.id)
+    return recipe
+
+
+def _plan_constants(recipe):
+    eta = recipe.system.eta
+    return eta, max(1.0, recipe.system.kappa0), cube_tau(eta)
+
+
 # --- calculus-check study -------------------------------------------------
 
 
@@ -468,7 +481,7 @@ def run_calculus(cfg, out_dir, seed):
 
 def setup_convergence(cfg):
     reference_steps(cfg["n_list"])  # every N must divide the reference grid
-    recipe = make_system(cfg["system"], int(cfg["d"]), **cfg["params"])
+    recipe = _recipe(cfg, int(cfg["d"]))
     horizon = float(cfg["horizon"])
     x0 = np.full(recipe.d, 0.5)
     cost = make_quadratic_cost(np.ones(recipe.d), 3.0, 1e-3)
@@ -505,20 +518,11 @@ def setup_convergence(cfg):
 # --- synth study ----------------------------------------------------------
 
 
-def _plan_constants(recipe):
-    if recipe.control_dims is not None:
-        raise ConfigError("system %r takes actions, which only game gives" % recipe.id)
-    eta = recipe.system.eta
-    kappa = max(1.0, recipe.system.kappa0)
-    tau = uniform_cube_measure(eta).tau
-    return eta, kappa, tau
-
-
 def setup_synth(cfg):
     d = int(cfg["d"])
     horizon = float(cfg["horizon"])
     eps = float(cfg["eps"])
-    recipe = make_system(cfg["system"], d, **cfg["params"])
+    recipe = _recipe(cfg, d)
     eta, kappa, tau = _plan_constants(recipe)
     if cfg["cplan"] is None and not recipe.linear:
         raise ConfigError(
@@ -536,11 +540,11 @@ def setup_synth(cfg):
     planned = None if cfg["cplan"] is None else plan(float(cfg["cplan"]))
 
     def run(out_dir, seed):
+        # without a cplan, calibrate it on the recipe's d=2 instance
         cplan, budget, cost = planned or plan(
             calibrate_cplan(
                 eps,
-                lambda dd: make_system(cfg["system"], dd, **cfg["params"]),
-                lambda dd, budget: plan_cost(dd, budget, kappa),
+                _recipe(cfg, 2),
                 eta,
                 kappa,
                 tau,
@@ -553,7 +557,6 @@ def setup_synth(cfg):
         psi, report = unroll_value_net(
             recipe.mu_net, recipe.sigma_col_nets, cost.net, recipe.system, budget, seed
         )
-        measure = uniform_cube_measure(eta)
         if recipe.linear:
             reference = lambda xs: recipe.exact_value(cost.beta_weights, xs, horizon)
             ref_kind = "closed_form"
@@ -563,9 +566,7 @@ def setup_synth(cfg):
                 recipe.system, coeffs, cost, budget, seed, xs
             )
             ref_kind = "scheme_same_seed"
-        err, stderr = l2_error(
-            psi, reference, measure, d, int(cfg["n_samples"]), seed ^ 0xE5
-        )
+        err, stderr = l2_error(psi, reference, int(cfg["n_samples"]), seed ^ 0xE5)
         wall_ms = (time.perf_counter() - t0) * 1e3
         save_network(psi, os.path.join(out_dir, "network.txt"))
         row = {
@@ -683,12 +684,10 @@ def setup_scaling(cfg):
             raise ValueError("%s needs two or more distinct entries: %s" % (name, values))
     d_fixed = int(cfg["d_fixed"])
     eps_fixed = float(cfg["eps_fixed"])
-    # one recipe, so one validation, per distinct dimension; d=2 is the probe
-    recipes = {
-        dd: make_system(cfg["system"], dd, **cfg["params"])
-        for dd in dict.fromkeys([2] + d_list + [d_fixed])
-    }
-    eta, kappa, tau = _plan_constants(recipes[2])
+    # one recipe, so one validation, per distinct dimension; no recipe's
+    # eta, kappa0 or beta depends on d, so any of them gives the constants
+    recipes = {dd: _recipe(cfg, dd) for dd in dict.fromkeys(d_list + [d_fixed])}
+    eta, kappa, tau = _plan_constants(recipes[d_fixed])
     cplan = cfg["cplan"]
     if cplan is None:
         d_max = max(max(d_list), d_fixed)
@@ -699,7 +698,7 @@ def setup_scaling(cfg):
             kappa,
             tau,
             horizon,
-            beta=recipes[2].system.beta,
+            beta=recipes[d_fixed].system.beta,
         )
     cplan = float(cplan)
 
@@ -865,7 +864,7 @@ def build_parser():
         prog="stiffnet", description="ReLU network calculus / stiff SDE studies"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ["calculus-check", "convergence", "synth", "game", "scaling", "verify"]:
+    for name in list(_SETUPS) + ["verify"]:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON study configuration")
         p.add_argument("--out", required=True, help="artifact output directory")

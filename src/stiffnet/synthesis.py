@@ -15,10 +15,10 @@ Budget planning solves the three inequalities
     d^(2k + max(tau/2, 2k)) h^(-(eta+4)/(3 eta+4)) / M   <= Cplan eps^2
 
 for the smallest admissible (N, delta, M), where h = T/N, k is the
-coefficient-complexity exponent and tau certifies the sampling measure's
-moment growth.  The proportionality constant is not explicit in the
-analysis, so Cplan is calibrated empirically (see calibrate_cplan) and then
-frozen.
+coefficient-complexity exponent and tau certifies the moment growth of the
+sampling measure, uniform on [0,1]^d (see cube_tau).  The proportionality
+constant is not explicit in the analysis, so Cplan is calibrated
+empirically (see calibrate_cplan) and then frozen.
 """
 
 import math
@@ -40,8 +40,7 @@ from .systems import make_quadratic_cost
 
 __all__ = [
     "SynthesisBudget",
-    "Measure",
-    "uniform_cube_measure",
+    "cube_tau",
     "truncation_radius",
     "plan_budget",
     "cplan_floor",
@@ -61,7 +60,7 @@ MIN_STEPS = 8
 MIN_PATHS = 8
 MAX_STEPS = 1 << 20
 MAX_PATHS = 1 << 20
-# calibration measures the d=2 error on this many points, starting from this
+# calibration measures the error on this many points, starting from this
 # multiple of the step-floor planner constant
 CALIBRATION_SAMPLES = 256
 CALIBRATION_MARGIN = 2.0
@@ -86,21 +85,9 @@ class SynthesisBudget:
         return self.horizon / self.steps
 
 
-@dataclass(frozen=True)
-class Measure:
-    """Sampling measure with a declared moment certificate exponent tau."""
-
-    sampler: object  # callable (rng, n, d) -> (n, d)
-    tau: float
-
-
-def uniform_cube_measure(eta):
-    """Uniform measure on [0,1]^d; moment certificate holds with 2+eta/2."""
-
-    def sampler(rng, n, d):
-        return rng.uniform(0.0, 1.0, (n, d))
-
-    return Measure(sampler=sampler, tau=2.0 + eta / 2.0)
+def cube_tau(eta):
+    """Moment certificate exponent of the uniform measure on [0,1]^d: 2 + eta/2."""
+    return 2.0 + eta / 2.0
 
 
 def truncation_radius(h, eta):
@@ -113,6 +100,17 @@ def _next_pow2(n):
     while p < n:
         p *= 2
     return p
+
+
+def _inequality_one(eta, kappa, tau, horizon, beta):
+    """Exponents (a1, p_h) of inequality 1, d^a1 h^p_h <= budget, and the floor N.
+
+    The floor is the strong-rate step floor or MIN_STEPS, whichever is larger.
+    """
+    a1 = 6.0 * kappa + max(tau, 2.0 * kappa)
+    p_h = 2.0 * eta / (3.0 * eta + 4.0)
+    n_floor = max(math.ceil(step_floor(horizon, beta, eta)), MIN_STEPS)
+    return a1, p_h, n_floor
 
 
 def plan_budget(eps, d, eta, kappa, tau, horizon, beta=0.0, cplan=1.0):
@@ -128,10 +126,9 @@ def plan_budget(eps, d, eta, kappa, tau, horizon, beta=0.0, cplan=1.0):
     if cplan <= 0.0:
         raise ValueError("cplan must be positive")
     budget_sq = cplan * eps * eps
-    a1 = 6.0 * kappa + max(tau, 2.0 * kappa)
+    a1, p_h, n_floor = _inequality_one(eta, kappa, tau, horizon, beta)
     a2 = 4.0 * kappa
     a3 = 2.0 * kappa + max(tau / 2.0, 2.0 * kappa)
-    p_h = 2.0 * eta / (3.0 * eta + 4.0)
     q_h = (eta + 4.0) / (3.0 * eta + 4.0)
 
     # inequality 1: d^a1 h^p_h <= budget_sq
@@ -141,8 +138,7 @@ def plan_budget(eps, d, eta, kappa, tau, horizon, beta=0.0, cplan=1.0):
     except OverflowError:  # ratio > 1, so no finite horizon makes it bind
         h_cap = math.inf
     n_ineq = math.ceil(horizon / h_cap) if h_cap < horizon else 1
-    n_min = max(n_ineq, math.ceil(step_floor(horizon, beta, eta)), MIN_STEPS)
-    steps = _next_pow2(n_min)
+    steps = _next_pow2(max(n_ineq, n_floor))
     if steps > MAX_STEPS:
         raise BudgetError(
             "planned step count %d exceeds the desk-scale cap; "
@@ -180,49 +176,36 @@ def cplan_floor(eps, d, eta, kappa, tau, horizon, beta=0.0):
     Useful before a cross-dimensional study: evaluating at the largest d
     keeps the planned N at the floor across the whole sweep.
     """
-    a1 = 6.0 * kappa + max(tau, 2.0 * kappa)
-    p_h = 2.0 * eta / (3.0 * eta + 4.0)
-    n_floor = max(math.ceil(step_floor(horizon, beta, eta)), MIN_STEPS)
+    a1, p_h, n_floor = _inequality_one(eta, kappa, tau, horizon, beta)
     h_floor = horizon / _next_pow2(n_floor)
     # tiny headroom so round-off in the planner's root cannot push the
     # implied step count past the floor's power of two
     return d**a1 * h_floor**p_h / (eps * eps) * (1.0 + 1e-9)
 
 
-def calibrate_cplan(
-    eps,
-    recipe_factory,
-    cost_factory,
-    eta,
-    kappa,
-    tau,
-    horizon,
-    seed,
-    d_max=16,
-):
-    """Calibrate the planner constant on a d=2 instance, then freeze it.
+def calibrate_cplan(eps, recipe, eta, kappa, tau, horizon, seed, d_max=16):
+    """Calibrate the planner constant on the recipe's instance, then freeze it.
 
     The candidate starts at CALIBRATION_MARGIN times the value that keeps
     inequality 1 slack up to d_max (so subsequent sweeps stay desk-scale)
-    and is verified by synthesizing the d=2 value network and measuring its
-    L2 error on CALIBRATION_SAMPLES points against the recipe's closed-form
-    value; candidates are reduced geometrically until the measured error is
-    within eps.
+    and is verified by synthesizing the recipe's value network, with the
+    cost plan_cost sizes, and measuring its L2 error on CALIBRATION_SAMPLES
+    points against the recipe's closed-form value; candidates are reduced
+    geometrically until the measured error is within eps.
     """
-    recipe = recipe_factory(2)
+    d = recipe.d
     beta = recipe.system.beta
     cand = CALIBRATION_MARGIN * cplan_floor(
         eps, d_max, eta, kappa, tau, horizon, beta=beta
     )
-    measure = uniform_cube_measure(eta)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0xCA11)))
     for _ in range(8):
-        budget = plan_budget(eps, 2, eta, kappa, tau, horizon, beta=beta, cplan=cand)
-        cost = cost_factory(2, budget)
+        budget = plan_budget(eps, d, eta, kappa, tau, horizon, beta=beta, cplan=cand)
+        cost = plan_cost(d, budget, kappa)
         psi, _ = unroll_value_net(
             recipe.mu_net, recipe.sigma_col_nets, cost.net, recipe.system, budget, seed
         )
-        xs = measure.sampler(rng, CALIBRATION_SAMPLES, 2)
+        xs = rng.uniform(0.0, 1.0, (CALIBRATION_SAMPLES, d))
         ref = recipe.exact_value(cost.beta_weights, xs, horizon)
         est, _ = l2_error_values(realize(psi, xs)[..., 0], ref)
         if est <= eps:
@@ -245,7 +228,12 @@ def plan_cost(d, budget, kappa):
     radius = budget.radius
     denom = d * radius * radius
     slot = budget.delta * kappa * d**kappa * radius**kappa / denom
-    eps_cost = min(slot, budget.eps * budget.eps / (8.0 * denom), 0.49)
+    cap = budget.eps * budget.eps / (8.0 * denom)
+    if not cap > 0.0:
+        raise ValueError(
+            "eps %r is too small: the cost accuracy eps^2/(8 d D^2) is 0" % budget.eps
+        )
+    eps_cost = min(slot, cap, 0.49)
     return make_quadratic_cost(np.ones(d), radius, eps_cost)
 
 
@@ -407,12 +395,13 @@ def l2_error_values(estimates, references):
     return est, stderr
 
 
-def l2_error(psi, reference, measure, d, n_samples, seed):
-    """L2(nu) distance between the network and a reference value function.
+def l2_error(psi, reference, n_samples, seed):
+    """L2 distance, under the uniform measure on [0,1]^d, from a reference value.
 
-    `reference` maps the (n_samples, d) sample to its reference values.
+    `reference` maps the (n_samples, d) sample, d = psi.dim_in, to its
+    reference values.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    xs = measure.sampler(rng, n_samples, d)
+    xs = rng.uniform(0.0, 1.0, (n_samples, psi.dim_in))
     vals = realize(psi, xs)[..., 0]
     return l2_error_values(vals, reference(xs))

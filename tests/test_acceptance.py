@@ -43,7 +43,6 @@ from stiffnet import (
     rate_study,
     realize,
     square_unit_net,
-    uniform_cube_measure,
     unroll_value_net,
     weighted_square_net,
     widen_layer,
@@ -342,18 +341,12 @@ def _ou_recipe(d):
     return make_ou(d, decay=0.5, noise=0.1, eta=ETA)
 
 
-def _cost_factory(d, budget):
-    return plan_cost(d, budget, KAPPA)
-
-
 import functools
 
 
 @functools.lru_cache(maxsize=1)
 def _calibrated_cplan():
-    return calibrate_cplan(
-        0.25, _ou_recipe, _cost_factory, ETA, KAPPA, TAU, HORIZON, SEED
-    )
+    return calibrate_cplan(0.25, _ou_recipe(2), ETA, KAPPA, TAU, HORIZON, SEED)
 
 
 def test_criterion_09_end_to_end_accuracy():
@@ -364,15 +357,13 @@ def test_criterion_09_end_to_end_accuracy():
     budget = plan_budget(
         eps, d, ETA, KAPPA, TAU, HORIZON, beta=rec.system.beta, cplan=cplan
     )
-    cost = _cost_factory(d, budget)
+    cost = plan_cost(d, budget, KAPPA)
     psi, _ = unroll_value_net(
         rec.mu_net, rec.sigma_col_nets, cost.net, rec.system, budget, SEED
     )
     est, se = l2_error(
         psi,
         lambda x: rec.exact_value(cost.beta_weights, x, HORIZON),
-        uniform_cube_measure(ETA),
-        d,
         512,
         seed=SEED + 7,
     )
@@ -410,7 +401,7 @@ def test_criterion_10_polynomial_scaling():
         budget = plan_budget(
             eps, d, ETA, KAPPA, TAU, HORIZON, beta=rec.system.beta, cplan=cplan
         )
-        cost = _cost_factory(d, budget)
+        cost = plan_cost(d, budget, KAPPA)
         psi, report = unroll_value_net(
             rec.mu_net, rec.sigma_col_nets, cost.net, rec.system, budget, SEED
         )

@@ -1,5 +1,7 @@
 """Constructive operations: exactness and complexity-bound inequalities."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -356,6 +358,14 @@ def test_max_tree_absolute_value():
 def test_max_tree_bound_example():
     assert max_tree_bound(17, 1) == pytest.approx(8 * (17 + 34 / 7) - 34 / 7)
     assert max_tree_bound(17, 1) == pytest.approx(170.0)
+
+
+def test_max_tree_bound_is_an_exact_int():
+    for n_levels in range(41):
+        for leaf_size in (1, 17, 1_000_003):
+            bound = max_tree_bound(leaf_size, n_levels)
+            exact = 8**n_levels * (leaf_size + Fraction(34, 7)) - Fraction(34, 7)
+            assert type(bound) is int and bound == exact
 
 
 def test_max_min_tree_random_and_bounds():

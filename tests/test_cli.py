@@ -178,6 +178,9 @@ def test_bad_config_exits_2(tmp_path):
         {"study": "scaling", "eps_list": [0.4, 0.2, 0.2]},
         {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8, 8]},
         {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8, 8, 16]},
+        # an action recipe in convergence, which would simulate its uncontrolled envelope
+        {"study": "convergence", "system": "controlled_relu_drift", "d": 2, "paths": 64,
+         "n_list": [8, 16], "seed": 1, "params": {"b1": [[50.0], [50.0]]}},
     ],
 )
 def test_values_a_study_cannot_run_on_exit_2(tmp_path, capsys, cfg):
@@ -388,6 +391,20 @@ def test_scaling_validates_each_dimension_once(tmp_path, monkeypatch):
     path = _write_config(tmp_path, cfg)
     assert main(["scaling", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert sorted(dims) == [2, 4]
+    # and no dimension outside the config's, such as a d=2 probe
+    dims.clear()
+    cfg = {"study": "scaling", "d_list": [4, 8], "eps_list": [0.4, 0.2], "d_fixed": 4}
+    _SETUPS["scaling"](load_config(_write_config(tmp_path, cfg, name="wide.json")))
+    assert sorted(dims) == [4, 8]
+
+
+def test_game_eps_too_small_for_the_cost_net_names_eps(tmp_path, capsys):
+    # eps^2 underflows, so the cost accuracy eps^2/(8 d D^2) would be 0
+    path = _write_config(tmp_path, {"study": "game", "d": 2, "eps": 1e-170})
+    out = os.path.join(tmp_path, "out")
+    assert main(["game", "--config", path, "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: eps 1e-170 is too small")
+    assert not os.path.exists(out)
 
 
 def test_game_study_and_manifest_round_trip(tmp_path):

@@ -23,7 +23,6 @@ from stiffnet import (
     plan_budget,
     realize,
     truncation_radius,
-    uniform_cube_measure,
     unroll_value_net,
     unstack,
 )
@@ -33,6 +32,7 @@ from stiffnet.synthesis import (
     calibrate_cplan,
     coefficients_from_nets,
     cplan_floor,
+    cube_tau,
     l2_error_values,
     plan_cost,
     unroll_size_bound,
@@ -107,16 +107,19 @@ def test_cplan_floor_keeps_step_floor_binding():
 
 
 def test_uniform_cube_measure_moment_certificate():
+    # the certificate holds for the sample l2_error draws
     eta = 0.5
-    m = uniform_cube_measure(eta)
-    assert m.tau == pytest.approx(2.0 + eta / 2.0)
-    rng = np.random.default_rng(0)
+    tau = cube_tau(eta)
+    assert tau == pytest.approx(2.0 + eta / 2.0)
     for d in (2, 5):
-        xs = m.sampler(rng, 20000, d)
+        samples = []
+        net = Network([Layer(np.zeros((1, d)), np.zeros(1))])
+        l2_error(net, lambda xs: samples.append(xs) or np.zeros(len(xs)), 20000, seed=0)
+        xs = samples[0]
         assert xs.shape == (20000, d)
         assert np.all((xs >= 0.0) & (xs <= 1.0))
         moment = np.mean(np.sum(xs * xs, axis=1) ** ((4.0 + eta) / 2.0))
-        assert moment <= m.tau * d**m.tau
+        assert moment <= tau * d**tau
 
 
 # ------------------------------------------------------- diffusion contract
@@ -469,27 +472,27 @@ def test_mc_reference_variance_shrinks_with_paths():
 
 def test_l2_error_zero_for_matching_reference():
     net = Network([Layer(np.array([[1.0, 1.0]]), np.zeros(1))])
-    m = uniform_cube_measure(0.5)
-    est, se = l2_error(net, lambda x: x[..., 0] + x[..., 1], m, 2, 500, seed=3)
+    est, se = l2_error(net, lambda x: x[..., 0] + x[..., 1], 500, seed=3)
     assert est <= 1e-14
 
 
 def test_l2_error_calls_reference_once_on_the_sample():
-    net = Network([Layer(np.array([[2.0, -1.0]]), np.zeros(1))])
-    calls = []
+    # the sample has one coordinate per network input
+    for weights in ([2.0, -1.0], [2.0, -1.0, 0.5]):
+        net = Network([Layer(np.array([weights]), np.zeros(1))])
+        calls = []
 
-    def reference(xs):
-        calls.append(xs.shape)
-        return xs[..., 0]
+        def reference(xs):
+            calls.append(xs.shape)
+            return xs[..., 0]
 
-    l2_error(net, reference, uniform_cube_measure(0.5), 2, 64, seed=3)
-    assert calls == [(64, 2)]
+        l2_error(net, reference, 64, seed=3)
+        assert calls == [(64, len(weights))]
 
 
 def test_l2_error_constant_offset():
     net = Network([Layer(np.zeros((1, 2)), np.array([2.0]))])
-    m = uniform_cube_measure(0.5)
-    est, se = l2_error(net, lambda x: 0.0, m, 2, 2000, seed=4)
+    est, se = l2_error(net, lambda x: 0.0, 2000, seed=4)
     assert est == pytest.approx(2.0, abs=1e-12)
 
 
@@ -503,29 +506,18 @@ def test_l2_error_values_shapes():
 
 def test_calibrated_budget_reaches_target_on_d2():
     eps, eta, kappa, tau, horizon, seed = 0.25, 0.5, 2.0, 2.25, 1.0, 21
-
-    def recipe_factory(d):
-        return make_ou(d, decay=0.5, noise=0.1, eta=eta)
-
-    def cost_factory(d, budget):
-        return plan_cost(d, budget, kappa)
-
-    cplan = calibrate_cplan(
-        eps, recipe_factory, cost_factory, eta, kappa, tau, horizon, seed
-    )
-    rec = recipe_factory(2)
+    rec = make_ou(2, decay=0.5, noise=0.1, eta=eta)
+    cplan = calibrate_cplan(eps, rec, eta, kappa, tau, horizon, seed)
     budget = plan_budget(
         eps, 2, eta, kappa, tau, horizon, beta=rec.system.beta, cplan=cplan
     )
-    cost = cost_factory(2, budget)
+    cost = plan_cost(2, budget, kappa)
     psi, _ = unroll_value_net(
         rec.mu_net, rec.sigma_col_nets, cost.net, rec.system, budget, seed
     )
     est, se = l2_error(
         psi,
         lambda x: rec.exact_value(cost.beta_weights, x, horizon),
-        uniform_cube_measure(eta),
-        2,
         256,
         seed=seed ^ 0xCA11,
     )
@@ -533,26 +525,26 @@ def test_calibrated_budget_reaches_target_on_d2():
 
 
 def test_calibrate_cplan_makes_one_reference_call_per_candidate(monkeypatch):
+    # every candidate is unrolled, with its cost, at the recipe's dimension
     import stiffnet.synthesis as synthesis
 
     eta, kappa, tau = 0.5, 2.0, 2.25
-    rec = make_ou(2, decay=0.5, noise=0.1, eta=eta)
-    exact_value = rec.exact_value
     unroll = synthesis.unroll_value_net
-    calls, unrolls = [], []
+    for d in (2, 3):
+        rec = make_ou(d, decay=0.5, noise=0.1, eta=eta)
+        exact_value = rec.exact_value
+        calls, unrolls = [], []
 
-    def counted_exact(betaw, xs, horizon):
-        calls.append(np.shape(xs))
-        return exact_value(betaw, xs, horizon)
+        def counted_exact(betaw, xs, horizon):
+            calls.append(np.shape(xs))
+            return exact_value(betaw, xs, horizon)
 
-    def counted_unroll(*args, **kwargs):
-        unrolls.append(1)
-        return unroll(*args, **kwargs)
+        def counted_unroll(mu_net, sigma_col_nets, cost_net, sys, budget, seed):
+            unrolls.append((sys.d, cost_net.dim_in))
+            return unroll(mu_net, sigma_col_nets, cost_net, sys, budget, seed)
 
-    rec.exact_value = counted_exact
-    monkeypatch.setattr(synthesis, "unroll_value_net", counted_unroll)
-    calibrate_cplan(
-        0.25, lambda d: rec, lambda d, b: plan_cost(d, b, kappa), eta, kappa, tau, 1.0, 21
-    )
-    assert unrolls
-    assert calls == [(256, 2)] * len(unrolls)
+        rec.exact_value = counted_exact
+        monkeypatch.setattr(synthesis, "unroll_value_net", counted_unroll)
+        calibrate_cplan(0.25, rec, eta, kappa, tau, 1.0, 21)
+        assert unrolls and set(unrolls) == {(d, d)}
+        assert calls == [(256, d)] * len(unrolls)
