@@ -38,8 +38,10 @@ from .network import (
     Layer,
     Network,
     NetworkShapeError,
+    _Csr,
     _csr,
     _dense,
+    _freeze,
     _matvec,
     _member_count,
     fold_affine,
@@ -47,7 +49,6 @@ from .network import (
 )
 
 __all__ = [
-    "arch_signature",
     "identity_net",
     "extend_depth",
     "widen_layer",
@@ -68,18 +69,12 @@ __all__ = [
 ]
 
 
-def arch_signature(net):
-    """Two networks are interchangeable in the calculus iff this matches."""
-    return net.dims
-
-
 def _require_same_arch(nets, what):
-    sig = arch_signature(nets[0])
     for n in nets[1:]:
-        if arch_signature(n) != sig:
+        if n.dims != nets[0].dims:
             raise NetworkShapeError(
                 "%s requires identical architectures: %s vs %s"
-                % (what, sig, arch_signature(n))
+                % (what, nets[0].dims, n.dims)
             )
 
 
@@ -396,18 +391,29 @@ def parallel_shared(net_a, net_b):
     return _as_operands(Network(_parallel_members(stack.layers, pairs)), [net_a, net_b])
 
 
-# keyed by the layer object: the unroll passes the same branches at every
-# step, so each first layer is densified and split once per unroll
+# keyed by the branch object: the unroll passes the same branches at every
+# step, so each branch is densified and split once per unroll
 @functools.lru_cache(maxsize=256)
-def _split_first(layer, d):
-    """The first layer's state and constant columns, (wx, wu), as dense arrays."""
-    if layer.fan_in <= d:
-        raise NetworkShapeError(
-            "add_compose branch must take more inputs than the base output"
-        )
-    w = _dense(layer)
-    w.flags.writeable = False
-    return w[..., :d], w[..., d:]
+def _split_first(branch, d):
+    """A branch's first layer as add_compose reads it: ((wx, wu, b), fold, next).
+
+    (wx, wu, b): the dense state and constant columns and bias of the rows
+    that stay.  Past depth 1, fold is (wu, b, next layer's dense columns) of
+    the rows that read no state, each the constant relu(wu.u + b), and next
+    the next layer on the rows that stay; rows it does not read are dropped.
+    """
+    first = branch.layers[0]
+    w = _dense(first)
+    if branch.depth == 1:
+        return tuple(map(_freeze, (w[..., :d], w[..., d:], first.bias))), None, None
+    nxt = branch.layers[1]
+    w_next = _dense(nxt)
+    reads_x = np.any(w[..., :d], axis=-1).reshape(-1, first.fan_out).any(axis=0)
+    read = np.isin(np.arange(first.fan_out), nxt.indices)
+    keep, fold = reads_x & read, ~reads_x & read
+    stay = map(_freeze, (w[..., keep, :d], w[..., keep, d:], first.bias[..., keep]))
+    folded = map(_freeze, (w[..., fold, d:], first.bias[..., fold], w_next[..., fold]))
+    return tuple(stay), tuple(folded), Layer(w_next[..., keep], nxt.bias)
 
 
 def add_compose(base, branches, u, coeffs=None):
@@ -419,7 +425,9 @@ def add_compose(base, branches, u, coeffs=None):
     None) scale only the output layer, so the architecture does not depend
     on them either.  Resulting depth is L_base + L' - 1.  The base value is
     carried past the branch layers as a (relu, relu-of-minus) pair, giving
-    last hidden width 2d + sum_m N^m_(L'-1) when L' >= 2.
+    last hidden width at most 2d + sum_m N^m_(L'-1) when L' >= 2: a branch
+    unit that reads no state joins the next layer's bias, and one that the
+    next layer does not read is dropped.
 
     For a stack of S members, u may be an (S, d') array and coeffs an
     (S, k) array, one row per member; a base that is not a stack is shared
@@ -444,6 +452,8 @@ def add_compose(base, branches, u, coeffs=None):
         if br.dim_in != branches[0].dim_in:
             raise NetworkShapeError("add_compose branches must share input width")
     d_aux = branches[0].dim_in - d
+    if d_aux < 1:
+        raise NetworkShapeError("add_compose branches must take more inputs than R^d")
     u = np.asarray(u, dtype=np.float64)
     if u.ndim < 2:
         u = u.reshape(-1)
@@ -457,7 +467,7 @@ def add_compose(base, branches, u, coeffs=None):
     )
     # one number per branch, or one (S, 1) column per branch for a stack
     coeffs = list(coeffs.T[..., None]) if coeffs.ndim == 2 else list(coeffs)
-    splits = [_split_first(br.layers[0], d) for br in branches]
+    splits = [_split_first(br, d) for br in branches]
 
     # the seam multiplies the base's last layer, which has d rows, by the
     # branches' first layers, which have d + d' columns: both are thin, so
@@ -468,26 +478,30 @@ def add_compose(base, branches, u, coeffs=None):
     if depth_b == 1:
         gain = np.eye(d)
         shift = np.zeros(d)
-        for c, (wx, wu), br in zip(coeffs, splits, branches):
+        for c, ((wx, wu, b), _, _) in zip(coeffs, splits):
             c_mat = np.expand_dims(c, -1)
             gain = gain + c_mat * wx
-            shift = shift + _matvec(c_mat * wu, u) + c * br.layers[0].bias
+            shift = shift + _matvec(c_mat * wu, u) + c * b
         return Network(head + [Layer(gain @ w_last, _matvec(gain, b_last) + shift)])
 
     seam_w, seam_b = [w_last, -w_last], [b_last, -b_last]
-    for (wx, wu), br in zip(splits, branches):
+    tails = []  # each branch's layers after its first
+    for ((wx, wu, b), (fold_wu, fold_b, fold_w), nxt), br in zip(splits, branches):
         seam_w.append(wx @ w_last)
-        seam_b.append(_matvec(wx, b_last) + _matvec(wu, u) + br.layers[0].bias)
+        seam_b.append(_matvec(wx, b_last) + _matvec(wu, u) + b)
+        if fold_b.shape[-1]:  # the folded units' constants join the next bias
+            bias = nxt.bias + _matvec(fold_w, np.maximum(_matvec(fold_wu, u) + fold_b, 0.0))
+            nxt = Layer(_Csr(nxt.data, nxt.indices, nxt.indptr, nxt.shape), bias)
+        tails.append([nxt] + list(br.layers[2:]))
     layers = head + [Layer(_cat(seam_w, axis=-2), _cat(seam_b))]
 
     if depth_b > 2:
         carry = _carried(Layer(_merge(d), np.zeros(d)))
-        for j in range(1, depth_b - 1):
-            layers.append(_side_by_side([carry] + [br.layers[j] for br in branches]))
+        for j in range(depth_b - 2):
+            layers.append(_side_by_side([carry] + [t[j] for t in tails]))
 
     # the carried base value re-enters the sum with weight 1 and a zero bias
-    out = [Layer(_merge(d), np.zeros(d))]
-    out += [br.layers[-1] for br in branches]
+    out = [Layer(_merge(d), np.zeros(d))] + [t[-1] for t in tails]
     layers.append(_summed([1.0] + coeffs, out))
     return Network(layers)
 

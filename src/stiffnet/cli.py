@@ -480,6 +480,8 @@ def run_calculus(cfg, out_dir, seed):
 
 
 def setup_convergence(cfg):
+    if len(cfg["n_list"]) < 2:  # a slope needs two step counts
+        raise ValueError("n_list needs two or more step counts: %s" % cfg["n_list"])
     reference_steps(cfg["n_list"])  # every N must divide the reference grid
     recipe = _recipe(cfg, int(cfg["d"]))
     horizon = float(cfg["horizon"])
@@ -636,7 +638,7 @@ def setup_game(cfg):
     grid.check_on_grid(horizon, steps)
 
     def run(out_dir, seed):
-        pairs, _ = pair_value_nets(s1, s2, recipe, cost, budget, seed, grid)
+        pairs, report = pair_value_nets(s1, s2, recipe, cost, budget, seed, grid)
         leaf_size = pairs.size
         psi = infsup_net(pairs, len(s2))
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x6A3E)))
@@ -653,8 +655,14 @@ def setup_game(cfg):
             "agreement_err": agree,
         }
         write_csv(os.path.join(out_dir, "game.csv"), list(row), [row])
-        ok = agree <= 1e-8
-        return ["game.csv"], {"leaf_size": leaf_size, "delta": delta}, ok
+        extra = {
+            "leaf_size": leaf_size,
+            "delta": delta,
+            "size_bound_ok": report["bound_ok"],
+            "width_condition_ok": report["width_condition_ok"],
+        }
+        ok = report["bound_ok"] and report["width_condition_ok"] and agree <= 1e-8
+        return ["game.csv"], extra, ok
 
     return run
 

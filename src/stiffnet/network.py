@@ -218,9 +218,7 @@ class Network:
     __slots__ = ("layers", "members")
 
     def __init__(self, layers):
-        layers = tuple(
-            layer if isinstance(layer, Layer) else Layer(*layer) for layer in layers
-        )
+        layers = tuple(layers)
         if not layers:
             raise NetworkShapeError("a network needs at least one layer")
         for l in range(1, len(layers)):

@@ -323,10 +323,9 @@ def unroll_value_net(
     inv = factor.inverse()
 
     branches = [_as_branch(net, d) for net in [mu_net] + list(sigma_col_nets)]
-    expected_width = 2 * d + mu_net.dims[-2] + sum(
-        net.dims[-2] for net in sigma_col_nets
-    )
-    width_ok = True
+    # add_compose_bound's width condition; add_compose drops inert units
+    max_width = 2 * d + mu_net.dims[-2] + sum(net.dims[-2] for net in sigma_col_nets)
+    widths = []
 
     # member m * n_plans + p is path m under plan p, so each path's members
     # form one block of the stack and the average combines the blocks
@@ -338,8 +337,7 @@ def unroll_value_net(
         if actions is not None:
             u = np.hstack([u, np.tile(actions[:, n], (n_paths, 1))])
         psi = add_compose(psi, branches, u, np.repeat(weights, n_plans, axis=0))
-        if psi.dims[-2] != expected_width:
-            width_ok = False
+        widths.append(psi.dims[-2])
         psi = fold_affine(psi, "post", inv)
     psi = compose(cost_net, psi)
     # the paths are the stack's n_paths blocks of n_plans members
@@ -353,7 +351,7 @@ def unroll_value_net(
         "size": size,
         "size_bound": bound,
         "bound_ok": size <= bound,
-        "width_condition_ok": width_ok,
+        "width_condition_ok": max(widths, default=0) <= max_width,
     }
     return (unstack(psi)[0] if actions is None else psi), report
 

@@ -25,7 +25,6 @@ from stiffnet import (
 )
 from stiffnet.calculus import (
     add_compose_bound,
-    arch_signature,
     max_tree_bound,
     weighted_square_bound,
 )
@@ -504,9 +503,13 @@ def test_weighted_square_truncation_structure():
 
 
 def test_arch_signature_equality():
+    # two networks are interchangeable in the calculus iff their dims match
     rng = np.random.default_rng(24)
     a = _random_net(rng, (2, 3, 1))
     b = _random_net(rng, (2, 3, 1))
     c = _random_net(rng, (2, 4, 1))
-    assert arch_signature(a) == arch_signature(b)
-    assert arch_signature(a) != arch_signature(c)
+    assert a.dims == b.dims
+    assert a.dims != c.dims
+    combine([1.0, 1.0], [a, b])
+    with pytest.raises(NetworkShapeError, match="identical architectures"):
+        combine([1.0, 1.0], [a, c])

@@ -112,19 +112,21 @@ def test_bad_config_exits_2(tmp_path):
         {"study": "calculus-check", "points": 0},
         {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [3, 8]},
         {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [0, 8]},
-        {"study": "convergence", "system": "ou", "d": "four", "paths": 8, "n_list": [8]},
-        {"study": "convergence", "system": "nope", "d": 2, "paths": 8, "n_list": [8]},
-        {"study": "convergence", "system": "ou", "d": 2, "paths": 0, "n_list": [8]},
-        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8], "horizon": 0},
+        {"study": "convergence", "system": "ou", "d": "four", "paths": 8,
+         "n_list": [8, 16]},
+        {"study": "convergence", "system": "nope", "d": 2, "paths": 8, "n_list": [8, 16]},
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 0, "n_list": [8, 16]},
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8, 16],
+         "horizon": 0},
         {"study": "synth", "system": "ou", "d": 2, "eps": 1.5},
         {"study": "game", "d": 2, "n_points": 0},
         {"study": "game", "d": 2, "steps": 2.5},
         {"study": "scaling", "d_list": [2, True]},
         {"study": "scaling", "eps_list": []},
         {"study": "scaling", "eps_fixed": 0.0},
-        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8],
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8, 16],
          "params": {"bogus": 1}},
-        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8],
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8, 16],
          "params": {"sigma_kind": "full"}},
         {"study": "synth", "system": "ou", "d": 2, "eps": 0.5, "cplan": -1.0},
         {"study": "synth", "system": "ou", "d": 2, "eps": 0.5, "cplan": "big"},
@@ -142,10 +144,10 @@ def test_bad_config_exits_2(tmp_path):
         {"study": "game", "d": 2, "params": {"l_mu": "x"}},
         {"study": "game", "d": 2, "params": {"noise_scale": -1}},
         {"study": "game", "d": 2, "params": {"eta": 1.5}},
-        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8],
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 8, "n_list": [8, 16],
          "params": {"decay": -1.0}},
         {"study": "convergence", "system": "galerkin_heat", "d": 2, "paths": 8,
-         "n_list": [8], "params": {"noise_scale": -0.1}},
+         "n_list": [8, 16], "params": {"noise_scale": -0.1}},
         # an intervention off the Euler grid; more strategy pairs than the cap
         {"study": "game", "d": 2, "n_interventions": 3},
         {"study": "game", "d": 2, "n_interventions": 7},
@@ -168,7 +170,7 @@ def test_bad_config_exits_2(tmp_path):
          "params": {"decay": math.inf}},
         {"study": "game", "d": 2, "params": {"b1": [[math.nan], [1]]}},
         {"study": "convergence", "system": "galerkin_heat", "d": 2, "paths": 8,
-         "n_list": [8], "params": {"diffusivity": math.nan}},
+         "n_list": [8, 16], "params": {"diffusivity": math.nan}},
         # step indices past int64
         {"study": "game", "d": 2, "steps": 2**64},
         # a slope needs two distinct points: one entry, or one repeated
@@ -196,7 +198,7 @@ def test_values_a_study_cannot_run_on_exit_2(tmp_path, capsys, cfg):
 _RUNNABLE = {
     "calculus-check": {"study": "calculus-check"},
     "convergence": {"study": "convergence", "system": "ou", "d": 2, "paths": 8,
-                    "n_list": [8]},
+                    "n_list": [8, 16]},
     "synth": {"study": "synth", "system": "ou", "d": 2, "eps": 0.5},
     "game": {"study": "game", "d": 2},
     "scaling": {"study": "scaling"},
@@ -407,6 +409,42 @@ def test_game_eps_too_small_for_the_cost_net_names_eps(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_convergence_with_one_step_count_exits_2_naming_n_list(tmp_path, capsys):
+    # one step count gives no strong slope
+    cfg = {"study": "convergence", "system": "ou", "d": 2, "paths": 64, "n_list": [8],
+           "seed": 1}
+    path = _write_config(tmp_path, cfg)
+    out = os.path.join(tmp_path, "out")
+    assert main(["convergence", "--config", path, "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: n_list needs two or more")
+    assert not os.path.exists(out)
+
+
+def test_game_verdict_requires_the_unroll_report(tmp_path, monkeypatch):
+    import stiffnet.cli as cli
+
+    path = _write_config(tmp_path, GAME_CFG)
+    out = os.path.join(tmp_path, "out")
+    assert main(["game", "--config", path, "--out", out]) == EXIT_OK
+    manifest = _read_manifest(out)
+    assert manifest["size_bound_ok"] is True and manifest["width_condition_ok"] is True
+    pair_value_nets = cli.pair_value_nets
+    for key, entry in [
+        ("bound_ok", "size_bound_ok"),
+        ("width_condition_ok", "width_condition_ok"),
+    ]:
+
+        def failing(*args):
+            stack, report = pair_value_nets(*args)
+            return stack, dict(report, **{key: False})
+
+        monkeypatch.setattr(cli, "pair_value_nets", failing)
+        out = os.path.join(tmp_path, key)
+        assert main(["game", "--config", path, "--out", out]) == EXIT_FAIL
+        manifest = _read_manifest(out)
+        assert manifest[entry] is False and manifest["status"] == "failed"
+
+
 def test_game_study_and_manifest_round_trip(tmp_path):
     path = _write_config(tmp_path, GAME_CFG)
     out = os.path.join(tmp_path, "out")
@@ -431,11 +469,18 @@ def test_verify_reproduces_and_detects_change(tmp_path):
     assert main(["verify", "--config", other, "--out", out]) == EXIT_FAIL
 
 
-def test_verify_reproduces_a_nan_result(tmp_path):
-    # one step count gives no strong slope: the run fails with NaN in its
-    # manifest, and an unchanged rerun still verifies
-    cfg = {"study": "convergence", "system": "ou", "d": 2, "n_list": [8], "paths": 64,
-           "seed": 1}
+def test_verify_reproduces_a_nan_result(tmp_path, monkeypatch):
+    # a run without a strong slope fails with NaN in its manifest, and an
+    # unchanged rerun still verifies
+    import stiffnet.cli as cli
+
+    rate_study = cli.rate_study
+    def no_slope(*args, **kwargs):
+        return dict(rate_study(*args, **kwargs), strong_slope=math.nan)
+
+    monkeypatch.setattr(cli, "rate_study", no_slope)
+    cfg = {"study": "convergence", "system": "ou", "d": 2, "n_list": [8, 16],
+           "paths": 64, "seed": 1}
     path = _write_config(tmp_path, cfg)
     out = os.path.join(tmp_path, "out")
     assert main(["convergence", "--config", path, "--out", out]) == EXIT_FAIL

@@ -18,6 +18,7 @@ from stiffnet import (
     game_delta,
     infsup_net,
     make_controlled_relu_drift,
+    make_system,
     network_to_text,
     pad_to_pow2,
     pair_value_nets,
@@ -25,6 +26,7 @@ from stiffnet import (
     psi_max_net,
     realize,
     truncation_radius,
+    unroll_value_net,
     unstack,
 )
 from stiffnet.game import check_pair_cap
@@ -381,9 +383,10 @@ def test_pair_value_nets_are_the_per_pair_nets_byte_for_byte(name):
 
 
 def test_default_pair_stack_is_as_wide_as_its_coefficient_nets(monkeypatch):
-    # each step's last hidden layer carries the state pair (2d), the drift
-    # net's relu(x), relu(u), relu(-u) (d + 2m) and one unit per constant
-    # noise column (d): 12 units at d = 2 with one action per player
+    # each step's last hidden layer carries the state pair (2d) and the
+    # drift net's relu(x) (d): 6 units at d = 2.  The drift net's relu(u)
+    # and relu(-u) are constants, folded into the output bias, and nothing
+    # reads the constant noise columns' units
     import stiffnet.synthesis as synthesis
 
     widths = []
@@ -401,9 +404,50 @@ def test_default_pair_stack_is_as_wide_as_its_coefficient_nets(monkeypatch):
     _, report = pair_value_nets(s1, s2, rec, cost, budget, spec["seed"], grid)
     d, m = spec["d"], sum(rec.control_dims)
     members = spec["paths"] * len(s1) * len(s2)
-    assert 2 * d + (d + 2 * m) + d == 12
-    assert widths == [(members, 12)] * spec["steps"]
+    assert 2 * d + d == 6 < 2 * d + (d + 2 * m) + d
+    assert widths == [(members, 6)] * spec["steps"]
     assert report["width_condition_ok"]
+
+
+def _inert_rows(net):
+    """Hidden rows that store no weight, or whose column the next layer leaves empty."""
+    inert = 0
+    for layer, nxt in zip(net.layers, net.layers[1:]):
+        weightless = np.diff(layer.indptr) == 0
+        unread = ~np.isin(np.arange(layer.fan_out), nxt.indices)
+        inert += int(np.count_nonzero(weightless | unread))
+    return inert
+
+
+@pytest.mark.parametrize(
+    "system, params",
+    [
+        ("ou", {}),
+        ("ou", {"sigma_kind": "diag"}),
+        ("galerkin_heat", {"drift_scale": 0.4}),
+        ("galerkin_heat", {"sigma_kind": "diag"}),
+        ("relu_drift", {"noise_scale": 0.1}),
+        ("controlled_relu_drift", {}),
+        ("controlled_relu_drift", {"l_mu": 0.0}),
+    ],
+    ids=["ou", "ou-diag", "heat", "heat-diag", "relu_drift", "game", "game-l_mu-0"],
+)
+def test_no_hidden_unit_is_constant_or_unread(system, params):
+    # a branch unit that reads no state is a constant in the next layer's
+    # bias, and a unit that nothing reads is not built
+    spec = PAIR_GRIDS["default"]
+    _, budget, cost, grid = _pair_game(spec)
+    rec = make_system(system, spec["d"], **params)
+    if rec.control_dims is None:
+        net, _ = unroll_value_net(
+            rec.mu_net, rec.sigma_col_nets, cost.net, rec.system, budget, 5
+        )
+        nets = [net]
+    else:
+        s1, s2 = enumerate_strategies(grid)
+        stack, _ = pair_value_nets(s1, s2, rec, cost, budget, spec["seed"], grid)
+        nets = [stack, infsup_net(stack, len(s2))] + unstack(stack)
+    assert [_inert_rows(net) for net in nets] == [0] * len(nets)
 
 
 def test_brute_force_batch_equals_single_points_in_one_simulation(monkeypatch):

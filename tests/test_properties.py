@@ -242,6 +242,21 @@ def test_parallel_shared_stacks_the_outputs(data):
     _assert_close(realize(parallel_shared(a, b), xs), want)
 
 
+def _with_inert_rows(draw, branch, d):
+    """The branch with, at random, first-layer rows that read no state (its
+    first d inputs) and first-layer rows that the next layer does not read."""
+    if branch.depth == 1:
+        return branch
+    first, nxt = branch.layers[:2]
+    state_free = draw(arrays(np.bool_, first.fan_out))
+    unread = draw(arrays(np.bool_, first.fan_out))
+    w, w_next = np.array(first.weight), np.array(nxt.weight)
+    w[state_free, :d] = 0.0
+    w_next[..., unread] = 0.0
+    layers = [Layer(w, first.bias), Layer(w_next, nxt.bias)]
+    return Network(layers + list(branch.layers[2:]))
+
+
 @pytest.mark.parametrize("branch_depth", [1, 2, 3])
 @PROPERTY
 @given(data=st.data())
@@ -252,7 +267,10 @@ def test_add_compose_adds_the_branches(branch_depth, data):
     base = _net_of(data.draw, [d] + base_hidden + [d])
     hidden = [data.draw(st.integers(1, 4)) for _ in range(branch_depth - 1)]
     n_branches = data.draw(st.integers(1, 3))
-    branches = [_net_of(data.draw, [d + d_aux] + hidden + [d]) for _ in range(n_branches)]
+    branches = [
+        _with_inert_rows(data.draw, _net_of(data.draw, [d + d_aux] + hidden + [d]), d)
+        for _ in range(n_branches)
+    ]
     u = data.draw(arrays(np.float64, (d_aux,), elements=SMALL_FLOAT))
     coeffs = data.draw(st.lists(SMALL_FLOAT, min_size=n_branches, max_size=n_branches))
     xs = _inputs(data, d)
@@ -349,8 +367,10 @@ def test_add_compose_on_a_stack_is_add_compose_per_member(branch_depth, data):
     base, base_members = _stack_of(data.draw, [d] + base_hidden + [d], members)
     hidden = [data.draw(st.integers(1, 4)) for _ in range(branch_depth - 1)]
     k = data.draw(st.integers(1, 3))
+    dims = [d + d_aux] + hidden + [d]
     branches = [
-        _net_of(data.draw, [d + d_aux] + hidden + [d], STACK_FLOAT) for _ in range(k)
+        _with_inert_rows(data.draw, _net_of(data.draw, dims, STACK_FLOAT), d)
+        for _ in range(k)
     ]
     u = data.draw(arrays(np.float64, (members, d_aux), elements=STACK_FLOAT))
     coeffs = data.draw(arrays(np.float64, (members, k), elements=STACK_FLOAT))

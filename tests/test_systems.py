@@ -16,7 +16,6 @@ from stiffnet import (
     realize,
     validate_system,
 )
-from stiffnet.calculus import arch_signature
 
 
 def _coeff_input(t, x):
@@ -120,7 +119,7 @@ def test_coefficient_nets_share_architecture():
         make_galerkin_heat(3, sigma_kind="diag"),
         make_relu_drift_system(3, l_mu=0.5),
     ):
-        sigs = {arch_signature(c) for c in rec.sigma_col_nets}
+        sigs = {c.dims for c in rec.sigma_col_nets}
         assert len(sigs) == 1
 
 
