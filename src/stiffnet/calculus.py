@@ -33,6 +33,7 @@ import itertools
 import math
 
 import numpy as np
+import numpy.ma  # np.unique loads it on its first call; load it before any study
 
 from .network import (
     Layer,

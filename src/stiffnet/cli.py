@@ -13,6 +13,7 @@ Exit codes: 0 pass, 1 assertion/verification failure, 2 config error.
 
 import argparse
 import json
+import locale  # argparse's first parse loads it through gettext; load it before any study
 import math
 import os
 import sys

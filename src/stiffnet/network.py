@@ -8,10 +8,12 @@ share between threads, and all bookkeeping quantities (depth, dims, size)
 are recomputed from the stored shapes on demand.
 
 Each weight is stored in canonical CSR form (sorted column indices, no
-stored zeros, read-only arrays) and evaluated through scipy.sparse; the
-bias is a dense vector.  The constructions of the calculus are block
-structured, so almost every entry is zero, and storage and evaluation cost
-follow the nonzeros.
+stored zeros, read-only arrays); the bias is a dense vector.  The
+constructions of the calculus are block structured, so almost every entry
+is zero, and storage and evaluation cost follow the nonzeros.  ``realize``
+evaluates with numpy alone and gives the bits of a CSR product: each
+output adds its row's products in column order, starting at +0.0, and
+then the bias (see the evaluation section below).
 
 A layer may also hold a stack of S members that share one sparsity
 pattern: its values are then an (S, nnz) array and its bias an (S, rows)
@@ -32,7 +34,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Layer",
@@ -138,20 +139,20 @@ def _as_csr(weight):
 class Layer:
     """One affine layer: weight (N_l x N_{l-1}) and bias (N_l).
 
-    The weight is held in canonical CSR form, under scipy's names: the
+    The weight is held in canonical CSR form, under the usual names: the
     nonzeros ``data``, their columns ``indices`` (increasing within each
     row), the row starts ``indptr``, and ``shape``; the arrays are
-    read-only.  ``csr`` is the scipy.sparse.csr_array over those arrays,
-    made on first use, since a construction builds many layers that are
-    never evaluated.  ``weight`` builds a read-only dense copy on each
-    access, for inspection only.
+    read-only.  ``realize`` makes the layer's evaluation plan on first use
+    and keeps it, since a construction builds many layers that are never
+    evaluated.  ``weight`` builds a read-only dense copy on each access,
+    for inspection only.
 
     A stacked layer (see the module docstring) takes an (S, rows, cols)
     weight or (S, nnz) values, and an (S, rows) bias, or a bias shared by
     its members; ``members`` is S, and None for a single layer.
     """
 
-    __slots__ = ("data", "indices", "indptr", "shape", "bias", "members", "_csr")
+    __slots__ = ("data", "indices", "indptr", "shape", "bias", "members", "_plan")
 
     def __init__(self, weight, bias):
         w = _as_csr(weight)
@@ -172,23 +173,10 @@ class Layer:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "bias", _freeze(bias))
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_csr", None)
+        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Layer is immutable")
-
-    @property
-    def csr(self):
-        if self.members is not None:
-            raise NetworkShapeError(
-                "a stacked layer of %d members has no single matrix; unstack its network"
-                % self.members
-            )
-        if self._csr is None:
-            csr = sp.csr_array((self.data, self.indices, self.indptr), shape=self.shape)
-            csr.has_canonical_format = True
-            object.__setattr__(self, "_csr", csr)
-        return self._csr
 
     @property
     def weight(self):
@@ -322,6 +310,141 @@ def unstack(net):
     return [Network([_pick(l, s) for l in net.layers]) for s in range(net.members)]
 
 
+# --- evaluation ------------------------------------------------------------
+#
+# An output is the sum of its row's terms w_ij * h_j in column order, started
+# at +0.0, plus the bias: what a CSR product computes.  numpy has no fused
+# gather-multiply-add, so a plan turns that sum into whole-array passes over
+# all points at once.  Rows are ranked by falling term count and taken in
+# groups of one count; slot k of a group holds the k-th term of each of its
+# rows.  A chunk of a group is gathered and multiplied, and np.add.reduce
+# sums it over its slots.  Along an axis that is not the fastest in memory
+# that reduction adds each slot to the running sum in turn (numpy sums
+# pairwise only along the fastest axis); a chunk of one row and one point
+# has no other axis, so np.add.accumulate, sequential by definition, sums
+# that one.  A sum that starts at its first term instead of at +0.0 differs
+# only where every term is -0.0; adding the bias plus 0.0 maps both starts
+# to the same bits.  A layer leaves its rows in ranked order, and the next
+# layer's plan reads them there, so no pass puts rows back in order except
+# after the last layer.
+
+# floats of gathered terms in one chunk (512 KB), so that a chunk's passes
+# stay in cache
+_BLOCK_FLOATS = 1 << 16
+
+
+class _Plan(NamedTuple):
+    """A layer's terms in groups of ranked rows that have one term count.
+
+    Each group is (first row, cols, vals): its rows follow the first, and
+    term k of the group's row r is ``vals[k, r] * h[cols[k, r]]``, where h
+    is the layer's input in the buffer that holds it; ``vals[k, 0]`` serves
+    every row of a group whose slots each have one weight.  The ranked rows
+    from ``filled`` on have no terms.  ``place[i]`` is the ranked position
+    of row i, None when the rows are ranked already.  ``bias`` is the ranked
+    bias plus 0.0, as a column, or as a scalar when all its values are one.
+    """
+
+    place: object
+    groups: tuple
+    filled: int
+    bias: object
+
+
+def _make_plan(layer, source):
+    rows = layer.shape[0]
+    counts = layer.indptr[1:] - layer.indptr[:-1]
+    starts, bias, place = layer.indptr[:-1], layer.bias, None
+    if not (counts[1:] <= counts[:-1]).all():
+        # a stable sort keeps rows of one count in order; a small key sorts by radix
+        key = counts.max() - counts
+        rank = (key.astype(np.uint16) if key.max() < 2**16 else key).argsort(kind="stable")
+        place = np.empty(rows, dtype=layer.indices.dtype)
+        place[rank] = np.arange(rows)
+        counts, starts, bias = counts[rank], starts[rank], bias[rank]
+    bounds = ((counts[1:] != counts[:-1]).nonzero()[0] + 1).tolist()
+    groups, filled = [], 0
+    for first, end in zip([0] + bounds, bounds + [rows]):
+        width = int(counts[first])
+        if not width:
+            break
+        if end - first == rows and place is None:
+            # every row has `width` terms: the slots are the columns of the stored rows
+            cols = layer.indices.reshape(rows, width).T
+            vals = layer.data.reshape(rows, width).T
+        else:
+            pos = starts[first:end] + np.arange(width)[:, None]
+            cols, vals = layer.indices[pos], layer.data[pos]
+        if source is not None:
+            cols = source[cols]
+        if (vals == vals[:, :1]).all():
+            vals = vals[:, :1]  # each multiply is by a scalar
+        groups.append((first, cols, vals[..., None]))
+        filled = end
+    bias = bias + 0.0
+    bias = bias[0] if (bias == bias[0]).all() else bias[:, None]
+    return _Plan(place, tuple(groups), filled, bias)
+
+
+def _plan(layer, source):
+    """The layer's plan for its inputs at rows `source` (None: in order).
+
+    The plan is kept on the layer, for the next call with the same source.
+    """
+    kept = layer._plan
+    if kept is None or kept[0] is not source:
+        kept = (source, _make_plan(layer, source))
+        object.__setattr__(layer, "_plan", kept)
+    return kept[1]
+
+
+def _slots(rows, width, points):
+    """Terms one gather takes from a group of `width` terms a row.
+
+    That is as many as fit in _BLOCK_FLOATS at `points` points, but at
+    least a whole row, as long as a row has no more terms than the layer
+    has rows, so that a large batch still takes its rows whole.
+    """
+    return max(_BLOCK_FLOATS // points, min(width, rows))
+
+
+def _chunks(plan, rows, points):
+    """(group, rows, slots) of each gather of a plan for `rows` rows at `points` points.
+
+    A gather takes as many whole rows of one group as fit in _slots terms,
+    at least one; a row with more terms than that takes them in parts.
+    """
+    for group in plan.groups:
+        width, n = group[1].shape
+        cap = _slots(rows, width, points)
+        take = max(1, cap // width)
+        for r in range(0, n, take):
+            for k in range(0, width, cap):
+                yield group, slice(r, min(n, r + take)), slice(k, min(width, k + cap))
+
+
+def _affine(plan, h, out, block):
+    """Write the layer at h (inputs, points) to out, rows in the plan's order.
+
+    `block` is a flat buffer for the gathered terms.
+    """
+    out[plan.filled :] = 0.0
+    for (first, cols, vals), r, k in _chunks(plan, *out.shape):
+        acc = out[first + r.start : first + r.stop]
+        # a row with more terms than one gather holds starts from its sum so far
+        carry = int(k.start > 0)
+        terms = block[: (k.stop - k.start + carry) * acc.size].reshape(-1, *acc.shape)
+        if carry:
+            terms[0] = acc
+        h.take(cols[k, r], axis=0, out=terms[carry:], mode="clip")
+        terms[carry:] *= vals[k] if vals.shape[1] == 1 else vals[k, r]
+        if acc.size > 1:
+            np.add.reduce(terms, axis=0, out=acc)
+        else:
+            acc[...] = np.add.accumulate(terms.ravel())[-1]
+    out += plan.bias
+
+
 def realize(net, x):
     """Evaluate the network function at x.
 
@@ -344,15 +467,35 @@ def realize(net, x):
             "input has %d components but network expects %d"
             % (x.shape[-1], net.dim_in)
         )
-    # one column per point, so each layer is one CSR product
-    h = np.ascontiguousarray(x.reshape(-1, net.dim_in).T)
-    for layer in net.layers[:-1]:
-        h = layer.csr @ h
-        h += layer.bias[:, None]
-        np.maximum(h, 0.0, out=h)
-    last = net.layers[-1]
-    h = last.csr @ h
-    h += last.bias[:, None]
+    points = x.reshape(-1, net.dim_in)
+    count = len(points)
+    plans, source = [], None
+    for layer in net.layers:
+        plans.append(_plan(layer, source))
+        source = plans[-1].place
+    # two buffers take turns as input and output, one column per point, so
+    # that each pass covers every point and layers reuse their pages
+    bufs = [np.empty(max(net.dims[side::2]) * count) for side in (0, 1)]
+    # a chunk's slots, and the running sum of a row that takes its terms in parts
+    slots = [
+        _slots(layer.fan_out, cols.shape[0], count) + 1
+        for layer, plan in zip(net.layers, plans)
+        for _, cols, _ in plan.groups
+    ]
+    block = np.empty(max(slots + [0]) * count)
+    h = bufs[0][: net.dim_in * count].reshape(net.dim_in, count)
+    h[...] = points.T
+    # like a compiled product, the passes raise no floating-point warnings
+    with np.errstate(all="ignore"):
+        for i, (layer, plan) in enumerate(zip(net.layers, plans)):
+            out = bufs[(i + 1) % 2][: layer.fan_out * count].reshape(layer.fan_out, count)
+            _affine(plan, h, out, block)
+            if i < net.depth - 1:
+                np.maximum(out, 0.0, out=out)
+            h = out
+    bufs = block = None  # keep only the output's buffer
+    if source is not None:
+        h = h.take(source, axis=0)
     return np.ascontiguousarray(h.T).reshape(x.shape[:-1] + (net.dim_out,))
 
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.random  # numpy loads it on first use; load it before any study
 
 __all__ = [
     "StiffSystem",

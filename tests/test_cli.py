@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 
@@ -453,6 +455,66 @@ def test_game_study_and_manifest_round_trip(tmp_path):
     # the echoed config re-parses to an equal structure
     echo = _write_config(tmp_path, manifest["config"], name="echo.json")
     assert load_config(echo) == load_config(path)
+
+
+def _python(code, *args):
+    """Run `code` in a fresh interpreter with this stiffnet on its path."""
+    import stiffnet
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stiffnet.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+# runs each config in turn after `import stiffnet.cli`, and prints each
+# study's exit code with the modules it loaded
+_STUDIES_AFTER_IMPORT = """
+import json, os, sys, tempfile
+import stiffnet.cli as cli
+loaded = set(sys.modules)
+report = []
+with tempfile.TemporaryDirectory() as tmp:
+    for i, cfg in enumerate(json.loads(sys.argv[1])):
+        path = os.path.join(tmp, "%d.json" % i)
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = cli.main([cfg["study"], "--config", path, "--out", os.path.join(tmp, str(i))])
+        report.append([cfg["study"], code, sorted(set(sys.modules) - loaded)])
+        loaded = set(sys.modules)
+print(json.dumps(report))
+"""
+
+
+def test_no_study_imports_a_module():
+    # every import is paid when the cli loads, before any study's clock starts
+    configs = [
+        {"study": "game", "d": 2},
+        {"study": "synth", "system": "ou", "d": 2, "eps": 0.75},
+        {"study": "convergence", "system": "ou", "d": 2, "paths": 64, "n_list": [4, 8]},
+        {"study": "calculus-check"},
+        {"study": "scaling", "d_list": [2, 3], "eps_list": [0.4, 0.3]},
+    ]
+    run = _python(_STUDIES_AFTER_IMPORT, json.dumps(configs))
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert [study for study, _, _ in report] == [cfg["study"] for cfg in configs]
+    for study, code, modules in report:
+        assert code == EXIT_OK, study
+        assert modules == [], "%s imported %s" % (study, modules)
+
+
+def test_game_runs_where_scipy_cannot_be_imported(tmp_path):
+    path = _write_config(tmp_path, {"study": "game", "d": 2})
+    code = (
+        "import sys; sys.modules['scipy'] = None; import stiffnet.cli as cli; "
+        "sys.exit(cli.main(['game', '--config', sys.argv[1], '--out', sys.argv[2]]))"
+    )
+    run = _python(code, path, os.path.join(tmp_path, "out"))
+    assert run.returncode == EXIT_OK, run.stderr
 
 
 def test_verify_reproduces_and_detects_change(tmp_path):

@@ -1,9 +1,11 @@
 """Core network container: realization, metrics, folding, serialization."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stiffnet import (
     Layer,
@@ -185,14 +187,26 @@ def test_networks_are_immutable():
         net.layers[0].weight[0, 0] = 5.0
 
 
+def _csr_product(layer, x):
+    """The layer at the points x as scipy's CSR product plus the bias."""
+    csr = sp.csr_array((layer.data, layer.indices, layer.indptr), shape=layer.shape)
+    return (csr @ np.asarray(x).T + layer.bias[:, None]).T
+
+
 def test_layer_stores_canonical_csr_and_a_dense_view():
     w = np.array([[0.0, 2.0, -0.0], [1.0, 0.0, 3.0]])
-    layer = Layer(w, np.zeros(2))
+    layer = Layer(w, np.array([-0.0, 0.5]))
     assert layer.data.tolist() == [2.0, 1.0, 3.0]  # no stored zeros
     assert layer.indices.tolist() == [1, 0, 2]  # sorted within each row
     assert layer.indptr.tolist() == [0, 1, 3]
-    assert layer.csr.nnz == 3 and layer.csr.shape == (2, 3)
     assert np.array_equal(layer.weight, w)
+    # the arrays are a canonical CSR matrix, and realize computes its product
+    x = np.array([[1.0, -0.0, 2.0], [-1.0, 0.25, 0.0]])
+    csr = sp.csr_array((layer.data, layer.indices, layer.indptr), shape=layer.shape)
+    assert csr.has_canonical_format and csr.nnz == 3 and csr.shape == (2, 3)
+    got = realize(Network([layer]), x)
+    assert got.tobytes() == _csr_product(layer, x).tobytes()
+    assert not np.signbit(got[0, 0])  # -0.0 * 2.0 plus the bias -0.0 is +0.0
     with pytest.raises(ValueError):
         layer.data[0] = 5.0
 
@@ -249,7 +263,7 @@ def test_a_stack_fails_loudly_outside_the_builders(tmp_path):
     assert np.array_equal(dense, w) and not np.signbit(dense[1, 0, 1])
     for call in (
         lambda: realize(stack, np.zeros(2)),
-        lambda: stack.layers[0].csr,
+        lambda: realize(Network(stack.layers[:1]), np.zeros(2)),
         lambda: network_to_text(stack),
         lambda: save_network(stack, os.path.join(tmp_path, "stack.txt")),
     ):
@@ -261,6 +275,31 @@ def test_a_stack_fails_loudly_outside_the_builders(tmp_path):
     assert network_to_text(one) == network_to_text(want)
     assert two.layers[0].data.tolist() == [4.0] and two.layers[1] is stack.layers[1]
     np.testing.assert_array_equal(realize(two, np.ones(2)), [-5.0])
+    # each member's layer computes its CSR product, bit for bit
+    x = np.array([[1.0, 2.0], [-0.0, 0.5]])
+    for member in (one, two):
+        first = member.layers[0]
+        assert realize(Network([first]), x).tobytes() == _csr_product(first, x).tobytes()
+
+
+def test_realize_holds_about_one_output_of_temporaries():
+    # 2048 rows of 8 terms at 4096 points: gathering every term of the layer
+    # at once would take 8 outputs; realize stays below 3
+    rng = np.random.default_rng(3)
+    rows, fan_in, terms, points = 2048, 64, 8, 4096
+    cols = np.sort(rng.random((rows, fan_in)).argsort(axis=1)[:, :terms], axis=1)
+    weight = np.zeros((rows, fan_in))
+    np.put_along_axis(weight, cols, rng.normal(size=(rows, terms)), axis=1)
+    net = Network([Layer(weight, rng.normal(size=rows))])
+    x = rng.normal(size=(points, fan_in))
+    tracemalloc.start()
+    try:
+        out = realize(net, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (points, rows)
+    assert peak < 3 * out.nbytes
 
 
 def test_stacked_parts_must_agree_on_the_member_count():

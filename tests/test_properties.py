@@ -1,9 +1,10 @@
 """Property tests: serialization round-trips, hostile text, affine folding,
-every calculus construction against its pointwise formula, and stacks
-against their members built one at a time."""
+realize against a CSR product, every calculus construction against its
+pointwise formula, and stacks against their members built one at a time."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -188,6 +189,95 @@ def test_realize_batch_equals_single_points(net, data):
     batch = realize(net, xs)
     assert batch.shape == (n_points, net.dim_out)
     assert batch.tobytes() == np.stack([realize(net, x) for x in xs]).tobytes()
+
+
+def _csr_realize(net, x):
+    """realize as scipy's CSR product evaluates it: the reference for its bits.
+
+    Each output starts at +0.0, adds its row's products in column order, and
+    then the bias.
+    """
+    h = np.ascontiguousarray(np.reshape(x, (-1, net.dim_in)).T)
+    with np.errstate(all="ignore"):
+        for i, layer in enumerate(net.layers):
+            h = sp.csr_array((layer.data, layer.indices, layer.indptr), shape=layer.shape) @ h
+            h += layer.bias[:, None]
+            if i < net.depth - 1:
+                np.maximum(h, 0.0, out=h)
+    return np.ascontiguousarray(h.T)
+
+
+# inputs at which products and sums follow the special cases of IEEE arithmetic
+SPECIAL_INPUTS = [np.inf, -np.inf, np.nan, -0.0, 0.0]
+
+
+@st.composite
+def csr_cases(draw):
+    """A network of canonical layers, and points to realize it at.
+
+    Rows hold 0 to 800 terms, in counts that interleave, and may repeat with
+    a short period; weights are either a few values, -0.0 among them
+    (canonical layers drop it), or spread over many magnitudes; biases hold
+    -0.0; inputs hold infinities, NaN and -0.0.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.integers(1, 3))
+    dims = [draw(st.sampled_from([1, 3, 40, 900]))]
+    dims += [draw(st.integers(1, 48)) for _ in range(depth)]
+    layers = []
+    for fan_in, rows in zip(dims[:-1], dims[1:]):
+        counts = draw(
+            st.lists(
+                st.one_of(st.just(0), st.integers(1, 8), st.integers(9, 800)),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+        weight = np.zeros((rows, fan_in))
+        few = draw(st.booleans())
+        for row, count in enumerate(counts):
+            cols = rng.choice(fan_in, min(count, fan_in), replace=False)
+            if few:
+                weight[row, cols] = rng.choice([1.0, -1.0, 0.5, -0.0, 3.0], len(cols))
+            else:
+                scale = 10.0 ** rng.integers(-3, 4, len(cols))
+                weight[row, cols] = rng.normal(size=len(cols)) * scale
+        # rows that repeat with a period, as the calculus builds them
+        weight = weight[np.arange(rows) % draw(st.sampled_from([rows, 1, 2, 3]))]
+        if draw(st.booleans()):
+            bias = np.full(rows, rng.choice([0.0, -0.0, 1.5]))
+        else:
+            bias = rng.normal(size=rows)
+            bias[rng.random(rows) < 0.3] = -0.0
+        layers.append(Layer(weight, bias))
+    points = draw(st.sampled_from([1, 2, 20, 257]))
+    x = rng.normal(size=(points, dims[0]))
+    special = rng.random(x.shape) < 0.05
+    x[special] = rng.choice(SPECIAL_INPUTS, int(special.sum()))
+    return Network(layers), x
+
+
+def _assert_same_bits(got, want):
+    """Equal bits, -0.0 and infinities included, and NaN where NaN is.
+
+    When both operands of a sum are NaN, which one's sign and payload the
+    result keeps depends on how a loop orders its operands, so NaN bits are
+    not compared.
+    """
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].view(np.uint64).tolist() == want[~nan].view(np.uint64).tolist()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(csr_cases())
+def test_realize_is_the_csr_product_bit_for_bit(case):
+    net, x = case
+    got = realize(net, x)
+    _assert_same_bits(got, _csr_realize(net, x))
+    # and a batch gives the bits of its points one at a time
+    _assert_same_bits(np.array([realize(net, point) for point in x]), got)
 
 
 @PROPERTY
