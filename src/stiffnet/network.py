@@ -142,9 +142,7 @@ class Layer:
     The weight is held in canonical CSR form, under the usual names: the
     nonzeros ``data``, their columns ``indices`` (increasing within each
     row), the row starts ``indptr``, and ``shape``; the arrays are
-    read-only.  ``realize`` makes the layer's evaluation plan on first use
-    and keeps it, since a construction builds many layers that are never
-    evaluated.  ``weight`` builds a read-only dense copy on each access,
+    read-only.  ``weight`` builds a read-only dense copy on each access,
     for inspection only.
 
     A stacked layer (see the module docstring) takes an (S, rows, cols)
@@ -152,7 +150,7 @@ class Layer:
     its members; ``members`` is S, and None for a single layer.
     """
 
-    __slots__ = ("data", "indices", "indptr", "shape", "bias", "members", "_plan")
+    __slots__ = ("data", "indices", "indptr", "shape", "bias", "members")
 
     def __init__(self, weight, bias):
         w = _as_csr(weight)
@@ -173,7 +171,6 @@ class Layer:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "bias", _freeze(bias))
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Layer is immutable")
@@ -324,9 +321,10 @@ def unstack(net):
 # has no other axis, so np.add.accumulate, sequential by definition, sums
 # that one.  A sum that starts at its first term instead of at +0.0 differs
 # only where every term is -0.0; adding the bias plus 0.0 maps both starts
-# to the same bits.  A layer leaves its rows in ranked order, and the next
-# layer's plan reads them there, so no pass puts rows back in order except
-# after the last layer.
+# to the same bits.  Each layer's rows are put back in row order before the
+# next layer reads them, so a plan depends on its own layer only.  A plan is
+# made in each call, one layer at a time, so that a call holds one plan and
+# no layer keeps one.
 
 # floats of gathered terms in one chunk (512 KB), so that a chunk's passes
 # stay in cache
@@ -338,11 +336,9 @@ class _Plan(NamedTuple):
 
     Each group is (first row, cols, vals): its rows follow the first, and
     term k of the group's row r is ``vals[k, r] * h[cols[k, r]]``, where h
-    is the layer's input in the buffer that holds it; ``vals[k, 0]`` serves
-    every row of a group whose slots each have one weight.  The ranked rows
-    from ``filled`` on have no terms.  ``place[i]`` is the ranked position
-    of row i, None when the rows are ranked already.  ``bias`` is the ranked
-    bias plus 0.0, as a column, or as a scalar when all its values are one.
+    is the layer's input.  The ranked rows from ``filled`` on have no terms.
+    ``place[i]`` is the ranked position of row i, and ``bias`` the ranked
+    bias plus 0.0, as a column.
     """
 
     place: object
@@ -351,51 +347,24 @@ class _Plan(NamedTuple):
     bias: object
 
 
-def _make_plan(layer, source):
+def _make_plan(layer):
     rows = layer.shape[0]
     counts = layer.indptr[1:] - layer.indptr[:-1]
-    starts, bias, place = layer.indptr[:-1], layer.bias, None
-    if not (counts[1:] <= counts[:-1]).all():
-        # a stable sort keeps rows of one count in order; a small key sorts by radix
-        key = counts.max() - counts
-        rank = (key.astype(np.uint16) if key.max() < 2**16 else key).argsort(kind="stable")
-        place = np.empty(rows, dtype=layer.indices.dtype)
-        place[rank] = np.arange(rows)
-        counts, starts, bias = counts[rank], starts[rank], bias[rank]
-    bounds = ((counts[1:] != counts[:-1]).nonzero()[0] + 1).tolist()
+    # a stable sort keeps rows of one count in row order
+    rank = (-counts).argsort(kind="stable")
+    place = np.empty(rows, dtype=rank.dtype)
+    place[rank] = np.arange(rows)
+    counts, starts = counts[rank], layer.indptr[:-1][rank]
+    firsts = [0] + ((counts[1:] != counts[:-1]).nonzero()[0] + 1).tolist() if rows else []
     groups, filled = [], 0
-    for first, end in zip([0] + bounds, bounds + [rows]):
+    for first, end in zip(firsts, firsts[1:] + [rows]):
         width = int(counts[first])
         if not width:
             break
-        if end - first == rows and place is None:
-            # every row has `width` terms: the slots are the columns of the stored rows
-            cols = layer.indices.reshape(rows, width).T
-            vals = layer.data.reshape(rows, width).T
-        else:
-            pos = starts[first:end] + np.arange(width)[:, None]
-            cols, vals = layer.indices[pos], layer.data[pos]
-        if source is not None:
-            cols = source[cols]
-        if (vals == vals[:, :1]).all():
-            vals = vals[:, :1]  # each multiply is by a scalar
-        groups.append((first, cols, vals[..., None]))
+        pos = starts[first:end] + np.arange(width)[:, None]
+        groups.append((first, layer.indices[pos], layer.data[pos][..., None]))
         filled = end
-    bias = bias + 0.0
-    bias = bias[0] if (bias == bias[0]).all() else bias[:, None]
-    return _Plan(place, tuple(groups), filled, bias)
-
-
-def _plan(layer, source):
-    """The layer's plan for its inputs at rows `source` (None: in order).
-
-    The plan is kept on the layer, for the next call with the same source.
-    """
-    kept = layer._plan
-    if kept is None or kept[0] is not source:
-        kept = (source, _make_plan(layer, source))
-        object.__setattr__(layer, "_plan", kept)
-    return kept[1]
+    return _Plan(place, tuple(groups), filled, (layer.bias[rank] + 0.0)[:, None])
 
 
 def _slots(rows, width, points):
@@ -437,7 +406,7 @@ def _affine(plan, h, out, block):
         if carry:
             terms[0] = acc
         h.take(cols[k, r], axis=0, out=terms[carry:], mode="clip")
-        terms[carry:] *= vals[k] if vals.shape[1] == 1 else vals[k, r]
+        terms[carry:] *= vals[k, r]
         if acc.size > 1:
             np.add.reduce(terms, axis=0, out=acc)
         else:
@@ -469,33 +438,32 @@ def realize(net, x):
         )
     points = x.reshape(-1, net.dim_in)
     count = len(points)
-    plans, source = [], None
-    for layer in net.layers:
-        plans.append(_plan(layer, source))
-        source = plans[-1].place
-    # two buffers take turns as input and output, one column per point, so
-    # that each pass covers every point and layers reuse their pages
-    bufs = [np.empty(max(net.dims[side::2]) * count) for side in (0, 1)]
-    # a chunk's slots, and the running sum of a row that takes its terms in parts
-    slots = [
-        _slots(layer.fan_out, cols.shape[0], count) + 1
-        for layer, plan in zip(net.layers, plans)
-        for _, cols, _ in plan.groups
-    ]
-    block = np.empty(max(slots + [0]) * count)
-    h = bufs[0][: net.dim_in * count].reshape(net.dim_in, count)
+    if not count:
+        return np.zeros(x.shape[:-1] + (net.dim_out,))
+    # one column per point, so that each pass covers every point; a layer
+    # writes its rows in ranked order to `ranked` and puts them back in row
+    # order in the buffer that held its input, where the next layer reads them
+    front = np.empty(max(net.dims) * count)
+    ranked = np.empty(max(net.dims[1:]) * count)
+    block = np.empty(0)
+    h = front[: net.dim_in * count].reshape(net.dim_in, count)
     h[...] = points.T
     # like a compiled product, the passes raise no floating-point warnings
     with np.errstate(all="ignore"):
-        for i, (layer, plan) in enumerate(zip(net.layers, plans)):
-            out = bufs[(i + 1) % 2][: layer.fan_out * count].reshape(layer.fan_out, count)
+        for i, layer in enumerate(net.layers):
+            plan = _make_plan(layer)
+            # a chunk's slots, and the running sum of a row that takes its terms in parts
+            slots = (_slots(layer.fan_out, cols.shape[0], count) + 1 for _, cols, _ in plan.groups)
+            need = max(slots, default=0) * count
+            if len(block) < need:
+                block = np.empty(need)
+            out = ranked[: layer.fan_out * count].reshape(layer.fan_out, count)
             _affine(plan, h, out, block)
             if i < net.depth - 1:
                 np.maximum(out, 0.0, out=out)
-            h = out
-    bufs = block = None  # keep only the output's buffer
-    if source is not None:
-        h = h.take(source, axis=0)
+            h = front[: layer.fan_out * count].reshape(layer.fan_out, count)
+            out.take(plan.place, axis=0, out=h, mode="clip")
+    ranked = block = out = None  # keep only the output's buffer
     return np.ascontiguousarray(h.T).reshape(x.shape[:-1] + (net.dim_out,))
 
 

@@ -79,11 +79,8 @@ def test_realize_batched_matches_loop():
     xs = rng.normal(size=(50, 4))
     batched = realize(net, xs)
     for i in range(50):
-        single = realize(net, xs[i])
-        # batched matmul may round differently in the last ulp
-        assert np.max(np.abs(batched[i] - single)) <= 1e-13 * (
-            1.0 + np.max(np.abs(single))
-        )
+        # each output sums its row's terms in one order, batched or not
+        assert realize(net, xs[i]).tobytes() == batched[i].tobytes()
 
 
 def test_layer_shape_validation():
@@ -280,6 +277,36 @@ def test_a_stack_fails_loudly_outside_the_builders(tmp_path):
     for member in (one, two):
         first = member.layers[0]
         assert realize(Network([first]), x).tobytes() == _csr_product(first, x).tobytes()
+
+
+def test_realize_takes_an_empty_batch_and_a_layer_without_rows():
+    net = Network([Layer(np.array([[1.0, 0.0], [0.0, -2.0], [0.0, 0.0]]), np.ones(3))])
+    for x in (np.zeros((0, 2)), np.zeros((4, 0, 2))):
+        assert realize(net, x).shape == x.shape[:-1] + (3,)
+    # a layer of no rows gives no outputs, and the next layer reads no inputs
+    empty = Layer(np.zeros((0, 2)), np.zeros(0))
+    x = np.array([[1.0, -3.0], [0.5, 2.0]])
+    assert realize(Network([empty]), x).shape == (2, 0)
+    after = Layer(np.zeros((2, 0)), np.array([-0.0, 1.5]))
+    got = realize(Network([empty, after]), x)
+    assert got.tobytes() == _csr_product(after, np.zeros((2, 0))).tobytes()
+    assert not np.signbit(got).any()  # the bias -0.0 plus a sum of no terms is +0.0
+
+
+def test_a_layer_shared_by_two_networks_realizes_in_each():
+    # the first layers rank their rows differently; each network gives its
+    # CSR product, in any call order
+    shared = Layer(np.array([[1.0, 0.0, -2.0, 0.5], [0.0, 3.0, 0.0, 0.0]]), [0.25, -1.0])
+    firsts = [
+        Layer(np.array([[1.0, 0.0], [2.0, -1.0], [0.0, 0.0], [0.5, 4.0]]), np.zeros(4)),
+        Layer(np.array([[1.5, -1.0], [0.0, 0.0], [0.0, 2.0], [-3.0, 1.0]]), np.ones(4)),
+    ]
+    nets = [Network([first, shared]) for first in firsts]
+    x = np.random.default_rng(6).normal(size=(5, 2))
+    for net in nets + nets + nets[::-1]:
+        first = net.layers[0]
+        want = _csr_product(shared, np.maximum(_csr_product(first, x), 0.0))
+        assert realize(net, x).tobytes() == want.tobytes()
 
 
 def test_realize_holds_about_one_output_of_temporaries():
