@@ -30,7 +30,6 @@ the library's complexity bounds are stated in.  ``Network.nnz`` and
 ``Network.nbytes`` report what is actually stored.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -519,14 +518,102 @@ def fold_affine(net, side, mat, vec=None):
 #
 # The index and value lines are absent when nnz is 0; columns increase
 # within a row and no value is zero, so each network has one text.
+#
+# A row is written in a few whole-array passes, with the bytes that
+# ``" ".join(map(float.hex, row))`` or ``" ".join(map(str, row))`` would
+# give.  Each token fills a fixed-width cell of ASCII bytes that ends in the
+# separating space and is padded with NUL, and one ``bytes.translate``
+# deletes the padding.  A float's 32-byte cell is read off its big-endian
+# bytes in three table lookups:
+#   - 8 bytes: sign, lead and the mantissa's top nibble (``-0x1.f``), from
+#     the sign bit, whether the exponent field is nonzero and the nibble;
+#   - 12 bytes: a hex digit pair for each of the mantissa's six low bytes
+#     (then 4 bytes of padding);
+#   - 8 bytes: ``p±E`` and the space, from the exponent field.
+# A zero (``0x0.0p+0``) keeps only the top digit and takes the exponent
+# text of field 2047, which no finite value has.  An integer's cell holds
+# its decimal digits, right-aligned, with NUL for its leading zeros.  The
+# reader converts each row with one ``map`` of ``float.fromhex`` or ``int``,
+# and a row of plain ASCII digits and spaces below the int64 maximum with one
+# ``np.fromstring``; it accepts and refuses what those two functions do.
+
+_HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_HEX_PAIRS = np.frombuffer(bytes(range(256)).hex().encode(), dtype=np.uint16)
+_ZERO_FIELD = 2047
+
+
+def _put_digits(q, cells):
+    """Write the decimal digits of q >= 0 right-aligned in (n, w) cells.
+
+    Leading zeros are NUL; q is divided in place.
+    """
+    cells[:, -1] = q % 10 + ord("0")
+    for k in range(cells.shape[1] - 2, -1, -1):
+        q //= 10
+        cells[:, k] = q % 10 + ord("0") * (q > 0)
+
+
+def _float_heads():
+    """``-0x1.f`` of index sign * 32 + (field != 0) * 16 + top nibble, as uint64."""
+    leads = np.frombuffer(b"0x0.\0" b"0x1.\0" b"-0x0." b"-0x1.", dtype=np.uint8)
+    cells = np.zeros((4, 16, 8), dtype=np.uint8)
+    cells[:, :, :5] = leads.reshape(4, 1, 5)
+    cells[:, :, 5] = _HEX
+    return cells.reshape(64, 8).view(np.uint64)[:, 0]
+
+
+def _float_tails():
+    """``p±E `` of each exponent field, as uint64."""
+    e = np.arange(2048) - 1023
+    e[0], e[_ZERO_FIELD] = -1022, 0  # subnormals; zero's slot
+    cells = np.zeros((2048, 8), dtype=np.uint8)
+    cells[:, 0] = ord("p")
+    cells[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    _put_digits(np.abs(e), cells[:, 2:6])
+    cells[:, 6] = ord(" ")
+    return cells.view(np.uint64)[:, 0]
+
+
+_FLOAT_HEADS = _float_heads()
+_FLOAT_TAILS = _float_tails()
+
+
+def _join_cells(cells):
+    """The row of tokens held in NUL-padded cells that end in a space."""
+    return cells.tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
 def _hex_row(values):
-    return " ".join(map(float.hex, values.tolist()))
+    """``" ".join(map(float.hex, values))`` for finite float64 values."""
+    n = len(values)
+    if not n:
+        return ""
+    b = np.asarray(values, dtype=">f8").view(np.uint8).reshape(n, 8)
+    sign = (b[:, 0] >> 7).astype(np.intp)
+    field = (b[:, 0] & 0x7F).astype(np.intp) << 4 | b[:, 1] >> 4
+    cells = np.empty((n, 4), dtype=np.uint64)
+    cells[:, 0] = _FLOAT_HEADS[sign << 5 | (field != 0) << 4 | b[:, 1] & 15]
+    pairs = cells.view(np.uint16)
+    pairs[:, 4:10] = _HEX_PAIRS[b[:, 2:]]
+    pairs[:, 10:12] = 0
+    zero = np.flatnonzero(values == 0)
+    pairs[zero, 4:10] = 0
+    field[zero] = _ZERO_FIELD
+    cells[:, 3] = _FLOAT_TAILS[field]
+    return _join_cells(cells)
 
 
 def _int_row(values):
-    return " ".join(map(str, values.tolist()))
+    """``" ".join(map(str, values))`` for non-negative int64 values."""
+    n = len(values)
+    if not n:
+        return ""
+    q = np.array(values, dtype=np.int64)
+    width = len(str(int(q.max())))
+    cells = np.empty((n, width + 1), dtype=np.uint8)
+    _put_digits(q, cells[:, :width])
+    cells[:, width] = ord(" ")
+    return _join_cells(cells)
 
 
 def _tokens(line, expected, what):
@@ -537,18 +624,27 @@ def _tokens(line, expected, what):
 
 
 def _parse_row(line, expected):
+    toks = _tokens(line, expected, "values per row")
     try:
-        vals = [float.fromhex(tok) for tok in _tokens(line, expected, "values per row")]
+        vals = np.fromiter(map(float.fromhex, toks), np.float64, expected)
     except OverflowError:
         raise ValueError("value out of range in network text") from None
-    if not all(map(math.isfinite, vals)):
+    if not np.isfinite(vals).all():
         raise ValueError("non-finite value in network text")
-    return np.array(vals)
+    return vals
 
 
 def _parse_ints(line, expected, what):
+    if line.isascii() and line.replace(" ", "").isdigit():
+        # plain digits, as the writer makes them, in one C pass; it
+        # saturates at the int64 maximum, so a line that reaches it, or has
+        # the wrong count, goes to int for its value or its error
+        vals = np.fromstring(line, np.int64, sep=" ")
+        if len(vals) == expected and vals.max() < np.iinfo(np.int64).max:
+            return vals
+    toks = _tokens(line, expected, what)
     try:
-        return np.array([int(tok) for tok in _tokens(line, expected, what)], dtype=np.int64)
+        return np.fromiter(map(int, toks), np.int64, expected)
     except OverflowError:
         raise ValueError("%s out of range in network text" % what) from None
 

@@ -441,9 +441,12 @@ def ou_exact_value(A, sigma0, betaw, x0, horizon):
     for _ in range(k):
         cov = cov + step @ cov @ step.T
         step = step @ step
-    var = np.diag(cov)
-    values = [float(betaw @ ((decay @ x) ** 2 + var)) for x in x0.reshape(-1, d)]
-    return np.array(values) if x0.ndim == 2 else values[0]
+    # one BLAS product per point, as decay @ x and betaw @ m give, so a batch
+    # has each point's bits (a gemm over the batch would not)
+    mean = np.matmul(decay, x0.reshape(-1, d, 1))[:, :, 0]
+    m2 = mean**2 + np.diag(cov)
+    values = _dot(np.broadcast_to(betaw, m2.shape), m2)
+    return values if x0.ndim == 2 else float(values[0])
 
 
 def alpha_p(sys, p):

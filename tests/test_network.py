@@ -22,6 +22,7 @@ from stiffnet import (
     save_network,
     unstack,
 )
+from stiffnet.network import _parse_ints
 
 
 def _random_net(rng, dims):
@@ -176,6 +177,59 @@ def test_network_from_text_rejects_trailing_lines():
     text = network_to_text(identity_net(2, 2)) + "0x1.0p+0 0x1.0p+0\n\n"
     with pytest.raises(ValueError, match="trailing"):
         network_from_text(text)
+
+
+def test_network_from_text_reads_tokens_as_float_fromhex_and_int_do():
+    # the writer never makes these tokens, but the reader has always taken
+    # what float.fromhex and int take: a stricter parser would be a format change
+    text = (
+        "STIFFNET-NET v2\nlayers 1\nlayer 2 8 3\n002 1\n+0 2 007\n"
+        "0x1.8p+0 +0x1p-3 1.8\nbias\n0X1P0 -0x0p+0\n"
+    )
+    layer = network_from_text(text).layers[0]
+    assert layer.indptr.tolist() == [0, 2, 3] and layer.indices.tolist() == [0, 2, 7]
+    assert layer.data.tolist() == [1.5, 0.125, 1.5]  # "1.8" is hex too
+    assert layer.bias.tolist() == [1.0, 0.0] and np.signbit(layer.bias[1])
+    assert network_to_text(Network([layer])) == (
+        "STIFFNET-NET v2\nlayers 1\nlayer 2 8 3\n2 1\n0 2 7\n"
+        "0x1.8000000000000p+0 0x1.0000000000000p-3 0x1.8000000000000p+0\n"
+        "bias\n0x1.0000000000000p+0 -0x0.0p+0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "line, token, message",
+    [
+        (5, "0x1p+1024", "value out of range"),
+        (7, "0x1p+1024", "value out of range"),
+        (5, "inf", "non-finite value"),
+        (7, "-nan", "non-finite value"),
+        (4, "9223372036854775808", "column indices out of range"),
+        (4, "99999999999999999999", "column indices out of range"),
+        (3, "1 1", "expected 1 row counts, got 2"),
+        (3, "-9223372036854775809", "row counts out of range"),
+        (4, "1.0", "invalid literal for int"),
+        (5, "0x1.8q+0", "invalid hexadecimal"),
+    ],
+)
+def test_network_from_text_refuses_tokens_with_the_same_errors(line, token, message):
+    lines = network_to_text(Network([Layer(np.array([[2.0]]), np.array([1.0]))])).splitlines()
+    lines[line] = token
+    with pytest.raises(ValueError, match=message):
+        network_from_text("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["0 1 22 333", " 4  5 ", "007 08", "9\t10", "+1 2", "1_000 2", "\u0661\u0662 3"]
+    + [str(2**63 - 1), "%d 3" % (2**63 - 2), "%s1 2" % ("0" * 30)],
+)
+def test_integer_rows_read_as_int_reads_them(line):
+    # plain digit lines take a bulk path; each must read as int reads it,
+    # up to the int64 maximum, and every other line goes to int itself
+    toks = line.split()
+    got = _parse_ints(line, len(toks), "column indices")
+    assert got.dtype == np.int64 and got.tolist() == [int(tok) for tok in toks]
 
 
 def test_networks_are_immutable():

@@ -1,4 +1,5 @@
-"""Property tests: serialization round-trips, hostile text, affine folding,
+"""Property tests: serialization round-trips, the row writers against
+``float.hex`` and ``str``, hostile text, affine folding,
 realize against a CSR product, every calculus construction against its
 pointwise formula, and stacks against their members built one at a time."""
 
@@ -26,6 +27,7 @@ from stiffnet import (
     unstack,
     weighted_square_net,
 )
+from stiffnet.network import _hex_row, _int_row, _parse_ints
 
 # fixed derandomized settings keep the suite deterministic run to run
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -74,6 +76,54 @@ def test_text_round_trip_is_bit_exact(net):
     for a, b in zip(net.layers, back.layers):
         assert a.weight.tobytes() == b.weight.tobytes()
         assert a.bias.tobytes() == b.bias.tobytes()
+
+
+# the ends of each float64 range: signed zeros, the smallest and largest
+# subnormal, the smallest normal and the largest finite value
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308]
+FLOAT_EDGES += [1.7976931348623157e308, -1.7976931348623157e308]
+FLOAT_BITS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, np.uint64).view(np.float64))),
+    st.sampled_from(FLOAT_EDGES),
+).filter(np.isfinite)
+INT64_EDGES = [0, 9, 10, 99, 100, 10**4, 10**6, 10**7 - 1, 10**18, 2**63 - 1]
+
+
+def test_row_writers_write_an_empty_row_as_nothing():
+    assert _hex_row(np.zeros(0)) == ""
+    assert _int_row(np.zeros(0, dtype=np.int32)) == ""
+
+
+@PROPERTY
+@given(st.lists(FLOAT_BITS, max_size=40))
+def test_hex_row_is_float_hex_joined(values):
+    assert _hex_row(np.array(values, dtype=np.float64)) == " ".join(map(float.hex, values))
+
+
+def test_hex_row_writes_the_range_ends_as_float_hex():
+    for values in [FLOAT_EDGES] + [[v] for v in FLOAT_EDGES]:
+        assert _hex_row(np.array(values)) == " ".join(map(float.hex, values))
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(0, 2**63 - 1),
+            st.integers(10**4, 10**7 - 1),  # column indices of the paper-scale nets
+            st.integers(0, 99),
+            st.sampled_from(INT64_EDGES),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_int_row_is_str_joined_and_reads_back(values):
+    want = " ".join(map(str, values))
+    assert _int_row(np.array(values, dtype=np.int64)) == want
+    assert _parse_ints(want, len(values), "ints").tolist() == values
+    if max(values) < 2**31:  # the index arrays of a layer are int32
+        assert _int_row(np.array(values, dtype=np.int32)) == want
 
 
 @PROPERTY

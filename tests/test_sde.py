@@ -583,6 +583,20 @@ def test_ou_exact_value_zero_horizon():
     assert got == pytest.approx(2.0 + 4.5, rel=1e-12)
 
 
+def _synth_benchmark_ou():
+    # the shape of the benchmark's synth study: d = 16, diagonal decay 0.5,
+    # constant noise 0.1, 256 points at horizon 1
+    d = 16
+    xs = np.random.default_rng(3).normal(size=(256, d))
+    return 0.5 * np.eye(d), 0.1 * np.eye(d), np.linspace(0.5, 2.0, d), xs, 1.0
+
+
+def _nonsymmetric_batch():
+    A, sigma0, T = _nonsymmetric_ou()
+    xs = np.random.default_rng(3).normal(size=(20, 3))
+    return A, sigma0, np.array([1.0, 0.5, 2.0]), xs, T
+
+
 def test_ou_exact_value_batch_equals_single_points(monkeypatch):
     import stiffnet.sde as sde
 
@@ -593,17 +607,21 @@ def test_ou_exact_value_batch_equals_single_points(monkeypatch):
         exps.append(1)
         return expm(*args, **kwargs)
 
-    A = np.array([[1.0, 0.3, 0.0], [-0.2, 0.8, 0.1], [0.0, 0.4, 1.5]])
-    sigma0 = np.array([[0.5, 0.0, 0.1], [0.2, 0.3, 0.0], [0.0, 0.1, 0.4]])
-    betaw = np.array([1.0, 0.5, 2.0])
-    xs = np.random.default_rng(3).normal(size=(20, 3))
-    singles = [ou_exact_value(A, sigma0, betaw, x, 1.5) for x in xs]
-    monkeypatch.setattr(sde, "_expm", counted)
-    batch = ou_exact_value(A, sigma0, betaw, xs, 1.5)
-    assert batch.shape == (20,)
-    assert np.array_equal(batch, singles)
-    assert len(exps) == 2  # the decay and one block exponential, for all points
-    assert isinstance(singles[0], float)
+    for case in (_nonsymmetric_batch, _synth_benchmark_ou):
+        A, sigma0, betaw, xs, T = case()
+        # the reference: one matrix-vector product and one dot per point
+        decay, var = sde._expm(-T * A), _variances(A, sigma0, T)
+        loop = [float(betaw @ ((decay @ x) ** 2 + var)) for x in xs]
+        singles = [ou_exact_value(A, sigma0, betaw, x, T) for x in xs]
+        monkeypatch.setattr(sde, "_expm", counted)
+        exps.clear()
+        batch = ou_exact_value(A, sigma0, betaw, xs, T)
+        monkeypatch.undo()
+        assert batch.shape == (len(xs),)
+        assert singles == loop, case.__name__
+        assert np.array_equal(batch, loop), case.__name__
+        assert len(exps) == 2  # the decay and one block exponential, for all points
+        assert isinstance(singles[0], float)
 
 
 def _quadrature_variances(A, sigma0, T):
