@@ -532,10 +532,10 @@ def fold_affine(net, side, mat, vec=None):
 #   - 8 bytes: ``p±E`` and the space, from the exponent field.
 # A zero (``0x0.0p+0``) keeps only the top digit and takes the exponent
 # text of field 2047, which no finite value has.  An integer's cell holds
-# its decimal digits, right-aligned, with NUL for its leading zeros.  The
-# reader converts each row with one ``map`` of ``float.fromhex`` or ``int``,
-# and a row of plain ASCII digits and spaces below the int64 maximum with one
-# ``np.fromstring``; it accepts and refuses what those two functions do.
+# its decimal digits, right-aligned, with NUL for its leading zeros.  A row
+# holding inf or nan is written by ``float.hex`` itself, so the reader
+# refuses it.  The reader converts each row with one ``map`` of
+# ``float.fromhex`` or ``int``; it accepts and refuses what those do.
 
 _HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 _HEX_PAIRS = np.frombuffer(bytes(range(256)).hex().encode(), dtype=np.uint16)
@@ -584,10 +584,13 @@ def _join_cells(cells):
 
 
 def _hex_row(values):
-    """``" ".join(map(float.hex, values))`` for finite float64 values."""
+    """``" ".join(map(float.hex, values))`` for float64 values."""
     n = len(values)
     if not n:
         return ""
+    if not np.isfinite(values).all():
+        # the tables hold no token for inf or nan
+        return " ".join(map(float.hex, values))
     b = np.asarray(values, dtype=">f8").view(np.uint8).reshape(n, 8)
     sign = (b[:, 0] >> 7).astype(np.intp)
     field = (b[:, 0] & 0x7F).astype(np.intp) << 4 | b[:, 1] >> 4
@@ -635,13 +638,6 @@ def _parse_row(line, expected):
 
 
 def _parse_ints(line, expected, what):
-    if line.isascii() and line.replace(" ", "").isdigit():
-        # plain digits, as the writer makes them, in one C pass; it
-        # saturates at the int64 maximum, so a line that reaches it, or has
-        # the wrong count, goes to int for its value or its error
-        vals = np.fromstring(line, np.int64, sep=" ")
-        if len(vals) == expected and vals.max() < np.iinfo(np.int64).max:
-            return vals
     toks = _tokens(line, expected, what)
     try:
         return np.fromiter(map(int, toks), np.int64, expected)

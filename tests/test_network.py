@@ -22,7 +22,6 @@ from stiffnet import (
     save_network,
     unstack,
 )
-from stiffnet.network import _parse_ints
 
 
 def _random_net(rng, dims):
@@ -183,15 +182,15 @@ def test_network_from_text_reads_tokens_as_float_fromhex_and_int_do():
     # the writer never makes these tokens, but the reader has always taken
     # what float.fromhex and int take: a stricter parser would be a format change
     text = (
-        "STIFFNET-NET v2\nlayers 1\nlayer 2 8 3\n002 1\n+0 2 007\n"
+        "STIFFNET-NET v2\nlayers 1\nlayer 2 16 3\n\u0660\u0662\t+1\n+0  007 1_0\n"
         "0x1.8p+0 +0x1p-3 1.8\nbias\n0X1P0 -0x0p+0\n"
     )
     layer = network_from_text(text).layers[0]
-    assert layer.indptr.tolist() == [0, 2, 3] and layer.indices.tolist() == [0, 2, 7]
+    assert layer.indptr.tolist() == [0, 2, 3] and layer.indices.tolist() == [0, 7, 10]
     assert layer.data.tolist() == [1.5, 0.125, 1.5]  # "1.8" is hex too
     assert layer.bias.tolist() == [1.0, 0.0] and np.signbit(layer.bias[1])
     assert network_to_text(Network([layer])) == (
-        "STIFFNET-NET v2\nlayers 1\nlayer 2 8 3\n2 1\n0 2 7\n"
+        "STIFFNET-NET v2\nlayers 1\nlayer 2 16 3\n2 1\n0 7 10\n"
         "0x1.8000000000000p+0 0x1.0000000000000p-3 0x1.8000000000000p+0\n"
         "bias\n0x1.0000000000000p+0 -0x0.0p+0\n"
     )
@@ -220,16 +219,17 @@ def test_network_from_text_refuses_tokens_with_the_same_errors(line, token, mess
 
 
 @pytest.mark.parametrize(
-    "line",
-    ["0 1 22 333", " 4  5 ", "007 08", "9\t10", "+1 2", "1_000 2", "\u0661\u0662 3"]
-    + [str(2**63 - 1), "%d 3" % (2**63 - 2), "%s1 2" % ("0" * 30)],
+    "weights, bias, token",
+    [([[2.0, np.inf]], [1.0], "inf"), ([[-np.inf]], [1.0], "-inf"), ([[2.0]], [np.nan], "nan")],
 )
-def test_integer_rows_read_as_int_reads_them(line):
-    # plain digit lines take a bulk path; each must read as int reads it,
-    # up to the int64 maximum, and every other line goes to int itself
-    toks = line.split()
-    got = _parse_ints(line, len(toks), "column indices")
-    assert got.dtype == np.int64 and got.tolist() == [int(tok) for tok in toks]
+def test_non_finite_values_are_saved_as_float_hex_and_refused(tmp_path, weights, bias, token):
+    # a layer may hold inf or nan; its text must not load back as a finite network
+    net = Network([Layer(np.array(weights), np.array(bias))])
+    assert token in network_to_text(net).split()
+    path = os.path.join(tmp_path, "net.txt")
+    save_network(net, path)
+    with pytest.raises(ValueError, match="non-finite value"):
+        load_network(path)
 
 
 def test_networks_are_immutable():
