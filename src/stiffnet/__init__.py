@@ -22,7 +22,6 @@ from .calculus import (
     identity_net,
     max_tree,
     min_tree,
-    pad_to_pow2,
     parallel_shared,
     psi_max_net,
     square_unit_net,

@@ -33,18 +33,17 @@ import itertools
 import math
 
 import numpy as np
-import numpy.ma  # np.unique loads it on its first call; load it before any study
 
 from .network import (
     Layer,
     Network,
     NetworkShapeError,
-    _Csr,
     _csr,
     _dense,
     _freeze,
     _matvec,
     _member_count,
+    _take,
     fold_affine,
     unstack,
 )
@@ -62,7 +61,7 @@ __all__ = [
     "max_tree",
     "min_tree",
     "max_tree_bound",
-    "pad_to_pow2",
+    "infsup_net",
     "square_unit_net",
     "weighted_square_net",
     "weighted_square_bound",
@@ -276,7 +275,9 @@ def _stacked_layers(layers, q):
     keys = [
         np.repeat(np.arange(rows), np.diff(l.indptr)) * cols + l.indices for l in layers
     ]
-    union = np.unique(np.concatenate(keys))
+    # the union of the patterns: the first of each run of equal sorted keys
+    union = np.sort(np.concatenate(keys))
+    union = union[np.diff(union, prepend=-1) > 0]
     data = np.zeros((len(layers), q, len(union)))
     for block, key, l in zip(data, keys, layers):
         block[:, np.searchsorted(union, key)] = l.data
@@ -375,10 +376,12 @@ def combine(coeffs, nets):
     built from the shared pattern, with no network per member.
     """
     coeffs = [float(c) for c in coeffs]
+    if not coeffs:
+        raise ValueError("combine: need matching nonempty coeffs and nets")
     if isinstance(nets, Network):
         return _combine_members(coeffs, nets)
     nets = list(nets)
-    if len(coeffs) != len(nets) or not nets:
+    if len(coeffs) != len(nets):
         raise ValueError("combine: need matching nonempty coeffs and nets")
     stack = _stack_nets(nets, "combine")
     return _as_operands(_combine_members(coeffs, stack), nets)
@@ -492,7 +495,7 @@ def add_compose(base, branches, u, coeffs=None):
         seam_b.append(_matvec(wx, b_last) + _matvec(wu, u) + b)
         if fold_b.shape[-1]:  # the folded units' constants join the next bias
             bias = nxt.bias + _matvec(fold_w, np.maximum(_matvec(fold_wu, u) + fold_b, 0.0))
-            nxt = Layer(_Csr(nxt.data, nxt.indices, nxt.indptr, nxt.shape), bias)
+            nxt = Layer(nxt, bias)
         tails.append([nxt] + list(br.layers[2:]))
     layers = head + [Layer(_cat(seam_w, axis=-2), _cat(seam_b))]
 
@@ -530,32 +533,30 @@ def psi_max_net():
     return Network([Layer(_PSI_MAX_W1, np.zeros(4)), Layer(_PSI_MAX_W2, np.zeros(1))])
 
 
-def pad_to_pow2(nets):
-    """Pad a net list to power-of-two length by repeating the last entry."""
-    nets = list(nets)
-    n = 1
-    while n < len(nets):
-        n *= 2
-    return nets + [nets[-1]] * (n - len(nets))
-
-
 def _tree_leaves(nets, what):
-    """The leaves of a tree as one stack, after the tree's checks."""
-    n = len(nets)
-    if n == 0 or (n & (n - 1)) != 0:
-        raise ValueError("%s needs a power-of-two count (see pad_to_pow2)" % what)
+    """The leaves of a tree as one stack and the rows of each operand's members."""
+    if not nets:
+        raise ValueError("%s needs at least one network" % what)
     if nets[0].dim_out != 1:
         raise NetworkShapeError("%s operands must have scalar output" % what)
-    return _stack_nets(nets, what)
+    leaves = _stack_nets(nets, what)
+    return leaves, np.arange(leaves.members or len(nets)).reshape(len(nets), -1)
 
 
-def _max_blocks(stack, k):
-    """Member-wise maximum of the k consecutive blocks of a stack's members.
+def _max_blocks(stack, blocks):
+    """Member-wise maximum over the rows of `blocks`, an (n, q) array of members.
 
-    k is a power of two.  Each level pairs blocks 2j and 2j+1 and composes
-    the exact max net on top, so the pairs are those of max_tree's halves.
+    Member i of the result is the maximum of members blocks[0, i], ...,
+    blocks[n-1, i].  The rows are padded to a power of two by repeating the
+    last, which the maximum ignores, and the stack is gathered once in that
+    order.  Each level pairs blocks 2j and 2j+1 and composes the exact max
+    net on top, so the pairs are those of max_tree's halves.
     """
-    q = (stack.members or k) // k
+    n, q = blocks.shape
+    k = 1 << (n - 1).bit_length()
+    order = blocks[np.minimum(np.arange(k), n - 1)].ravel()
+    if stack.members is not None and not np.array_equal(order, np.arange(stack.members)):
+        stack = _take(stack, order)
     while k > 1:
         k //= 2
         pairs = np.arange(2 * k * q).reshape(k, 2, q).transpose(0, 2, 1).reshape(-1, 2)
@@ -566,29 +567,62 @@ def _max_blocks(stack, k):
 _NEG = np.array([[-1.0]])
 
 
-def _min_blocks(stack, k):
-    """Member-wise minimum of the k consecutive blocks, as min(f) = -max(-f)."""
-    return fold_affine(_max_blocks(fold_affine(stack, "post", _NEG), k), "post", _NEG)
+def _min_blocks(stack, blocks):
+    """Member-wise minimum over the rows of `blocks`, as min(f) = -max(-f)."""
+    return fold_affine(_max_blocks(fold_affine(stack, "post", _NEG), blocks), "post", _NEG)
 
 
 def max_tree(nets):
-    """Pointwise maximum of 2^n same-architecture scalar nets.
+    """Pointwise maximum of n >= 1 same-architecture scalar nets.
 
-    Pairwise: parallelize two operands, compose with the exact 2-input max
-    net, recurse.  Size <= 8^n (C + 34/7) - 34/7.  The leaves form one
-    stack, and each level pairs all of its operands at once.
+    The list is padded to 2^L nets by repeating its last, which the maximum
+    ignores.  Pairwise: parallelize two operands, compose with the exact
+    2-input max net, recurse.  Size <= 8^L (C + 34/7) - 34/7.  The leaves
+    form one stack, and each level pairs all of its operands at once.
     """
     nets = list(nets)
-    leaves = _tree_leaves(nets, "max_tree")
+    leaves, blocks = _tree_leaves(nets, "max_tree")
     if len(nets) == 1:
         return nets[0]
-    return _as_operands(_max_blocks(leaves, len(nets)), nets)
+    return _as_operands(_max_blocks(leaves, blocks), nets)
 
 
 def min_tree(nets):
-    """Pointwise minimum via min(f) = -max(-f); same size bound as max_tree."""
+    """Pointwise minimum via min(f) = -max(-f); padded and bounded as max_tree."""
     nets = list(nets)
-    return _as_operands(_min_blocks(_tree_leaves(nets, "min_tree"), len(nets)), nets)
+    return _as_operands(_min_blocks(*_tree_leaves(nets, "min_tree")), nets)
+
+
+def _pair_stack(w_nets, n_cols):
+    """(stack, rows, columns) of a grid given as lists of rows or as a stack."""
+    if n_cols is not None:
+        if not w_nets.members or w_nets.members % n_cols:
+            raise ValueError("infsup_net: the stack is not rows of %d pairs" % n_cols)
+        return w_nets, w_nets.members // n_cols, n_cols
+    rows = [list(row) for row in w_nets]
+    if not rows or any(len(row) != len(rows[0]) for row in rows) or not rows[0]:
+        raise ValueError("infsup_net needs nonempty rows of one length")
+    nets = [net for row in rows for net in row]
+    if any(net.members is not None for net in nets):
+        raise NetworkShapeError("infsup_net takes rows of single networks")
+    return _stack_nets(nets, "infsup_net"), len(rows), len(rows[0])
+
+
+def infsup_net(w_nets, n_cols=None):
+    """min over rows of max over columns of a 2-D grid of value networks.
+
+    w_nets is a list (player-1 strategies) of equal-length lists
+    (player-2 strategies) of same-architecture single scalar networks, or
+    the stack of them in row-major order, as pair_value_nets returns it,
+    with the row length n_cols.  One max tree over the columns and one min
+    tree over the row maxima, padded as max_tree pads; the grid stays one
+    stack, and each level pairs all of its members at once.
+    """
+    stack, n_rows, n_cols = _pair_stack(w_nets, n_cols)
+    # column j's members are the entries (i, j) of every row i
+    columns = np.arange(n_cols)[:, None] + n_cols * np.arange(n_rows)
+    row_max = _max_blocks(stack, columns)
+    return unstack(_min_blocks(row_max, np.arange(n_rows)[:, None]))[0]
 
 
 def max_tree_bound(leaf_size, n_levels):

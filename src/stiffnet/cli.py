@@ -872,18 +872,16 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="stiffnet", description="ReLU network calculus / stiff SDE studies"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(_SETUPS) + ["verify"]:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON study configuration")
-        p.add_argument("--out", required=True, help="artifact output directory")
-        p.add_argument(
-            "--threads",
-            type=int,
-            help="threads that draw Brownian blocks ahead of the scheme; 1 draws "
-            "them inline (default: the CPUs this process may use); outputs do not "
-            "depend on it",
-        )
+    parser.add_argument("command", choices=list(_SETUPS) + ["verify"])
+    parser.add_argument("--config", required=True, help="JSON study configuration")
+    parser.add_argument("--out", required=True, help="artifact output directory")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        help="threads that draw Brownian blocks ahead of the scheme; 1 draws "
+        "them inline (default: the CPUs this process may use); outputs do not "
+        "depend on it",
+    )
     return parser
 
 

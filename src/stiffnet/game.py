@@ -11,10 +11,11 @@ the control cost added to the output bias.  All pairs share one
 architecture, one sparsity pattern and one Brownian realization, so one
 stacked unroll builds them all as the members of one stack.  The game
 value network is then a min-tree over player-1 strategies of max-trees
-over player-2 strategies, built level by level on that stack, which is
-exact, so it must agree with brute-force enumeration to floating point.
-The oracle is one direct simulation of the scheme: every start point
-under every pair on the same paths, with no value network read.
+over player-2 strategies, built level by level on that stack by the
+calculus' infsup_net (re-exported here).  It is exact, so it must agree
+with brute-force enumeration to floating point.  The oracle is one direct
+simulation of the scheme: every start point under every pair on the same
+paths, with no value network read.
 """
 
 import itertools
@@ -23,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import _max_blocks, _min_blocks, _stack_nets
-from .network import Layer, Network, NetworkShapeError, _Csr, _take, unstack
+from .calculus import infsup_net
+from .network import Layer, Network, unstack
 from .synthesis import coefficients_from_nets, mc_reference, unroll_value_net
 
 __all__ = [
@@ -75,7 +76,8 @@ class StrategyGrid:
         h = horizon / steps
         idx = self.times / h
         on_grid = np.round(idx)
-        if not np.allclose(idx, on_grid, atol=1e-9):
+        # round-off only: a relative 1e-5 passes off-grid times past 1e5 steps
+        if not np.allclose(idx, on_grid, rtol=1e-9, atol=1e-9):
             raise ValueError(
                 "intervention times must lie on the Euler grid (h=%g)" % h
             )
@@ -149,8 +151,7 @@ def pair_value_nets(strats1, strats2, recipe, cost, budget, seed, grid):
     # adding a zero cost keeps the bias: the average's sums start at +0.0,
     # so no output bias is -0.0
     bias = last.bias + costs[:, None]
-    shifted = Layer(_Csr(last.data, last.indices, last.indptr, last.shape), bias)
-    return Network(stack.layers[:-1] + (shifted,)), report
+    return Network(stack.layers[:-1] + (Layer(last, bias),)), report
 
 
 def controlled_value_net(strat1, strat2, recipe, cost, budget, seed, grid):
@@ -160,43 +161,6 @@ def controlled_value_net(strat1, strat2, recipe, cost, budget, seed, grid):
     """
     stack, report = pair_value_nets([strat1], [strat2], recipe, cost, budget, seed, grid)
     return unstack(stack)[0], report
-
-
-def _pair_stack(w_nets, n_cols):
-    """(stack, rows, columns) of a grid given as lists of rows or as a stack."""
-    if n_cols is not None:
-        if not w_nets.members or w_nets.members % n_cols:
-            raise ValueError("infsup_net: the stack is not rows of %d pairs" % n_cols)
-        return w_nets, w_nets.members // n_cols, n_cols
-    rows = [list(row) for row in w_nets]
-    if not rows or any(len(row) != len(rows[0]) for row in rows) or not rows[0]:
-        raise ValueError("infsup_net needs nonempty rows of one length")
-    nets = [net for row in rows for net in row]
-    if any(net.members is not None for net in nets):
-        raise NetworkShapeError("infsup_net takes rows of single networks")
-    return _stack_nets(nets, "infsup_net"), len(rows), len(rows[0])
-
-
-def infsup_net(w_nets, n_cols=None):
-    """min over rows of max over columns of a 2-D grid of value networks.
-
-    w_nets is a list (player-1 strategies) of equal-length lists
-    (player-2 strategies) of same-architecture single scalar networks, or
-    the stack of them in row-major order, as pair_value_nets returns it,
-    with the row length n_cols.  Rows are padded to powers of two by
-    repeating their last entry, and so are the row maxima; maximum and
-    minimum ignore the repeats.  The grid stays one stack: each level of
-    the max and min trees pairs all of its members at once.
-    """
-    stack, n_rows, n_cols = _pair_stack(w_nets, n_cols)
-    width = 1 << (n_cols - 1).bit_length()
-    height = 1 << (n_rows - 1).bit_length()
-    # leaf j * n_rows + i is entry (i, j) with j clamped to the row: the
-    # column blocks pair level by level into one member per row
-    cols = np.minimum(np.arange(width), n_cols - 1)
-    leaves = _take(stack, (cols[:, None] + n_cols * np.arange(n_rows)).ravel())
-    row_max = _take(_max_blocks(leaves, width), np.minimum(np.arange(height), n_rows - 1))
-    return unstack(_min_blocks(row_max, height))[0]
 
 
 def brute_force_game_value(recipe, grid, cost, budget, seed, x):

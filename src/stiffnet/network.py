@@ -124,9 +124,9 @@ def _member_count(counts, what):
 
 
 def _as_csr(weight):
-    """Canonical read-only CSR arrays of a dense matrix; CSR arrays pass through."""
-    if isinstance(weight, _Csr):
-        return weight
+    """Canonical read-only CSR arrays of a dense matrix; CSR arrays, a layer's too, pass through."""
+    if isinstance(weight, (_Csr, Layer)):
+        return _Csr(weight.data, weight.indices, weight.indptr, weight.shape)
     weight = np.asarray(weight, dtype=np.float64)
     if weight.ndim not in (2, 3):
         raise NetworkShapeError(
@@ -146,7 +146,9 @@ class Layer:
 
     A stacked layer (see the module docstring) takes an (S, rows, cols)
     weight or (S, nnz) values, and an (S, rows) bias, or a bias shared by
-    its members; ``members`` is S, and None for a single layer.
+    its members; ``members`` is S, and None for a single layer.  Another
+    layer as the weight lends its CSR arrays, so ``Layer(layer, bias)`` is
+    that layer with a new bias.
     """
 
     __slots__ = ("data", "indices", "indptr", "shape", "bias", "members")

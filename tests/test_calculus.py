@@ -15,11 +15,12 @@ from stiffnet import (
     identity_net,
     max_tree,
     min_tree,
-    pad_to_pow2,
+    network_to_text,
     parallel_shared,
     psi_max_net,
     realize,
     square_unit_net,
+    unstack,
     weighted_square_net,
     widen_layer,
 )
@@ -198,6 +199,15 @@ def test_combine_rejects_arch_mismatch():
     rng = np.random.default_rng(11)
     with pytest.raises(ValueError):
         combine([1.0, 1.0], [_random_net(rng, (2, 3, 1)), _random_net(rng, (2, 4, 1))])
+
+
+def test_combine_refuses_an_empty_coefficient_list():
+    rng = np.random.default_rng(11)
+    net = _random_net(rng, (2, 3, 1))
+    stack = _stack_net(rng, (2, 3, 1), 2)
+    for nets in ([net], [], stack):
+        with pytest.raises(ValueError, match="nonempty"):
+            combine([], nets)
 
 
 def test_combine_parallel_and_trees_of_one_network_repeated():
@@ -382,22 +392,43 @@ def test_max_min_tree_random_and_bounds():
         assert mn.size <= max_tree_bound(nets[0].size, n_levels)
 
 
-def test_max_tree_rejects_non_power_of_two():
+def _stack_net(rng, dims, members):
+    """A random stack whose every layer is stacked."""
+    return Network(
+        [
+            Layer(rng.normal(size=(members, n_out, n_in)), rng.normal(size=(members, n_out)))
+            for n_in, n_out in zip(dims[:-1], dims[1:])
+        ]
+    )
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("count", [3, 5, 6])
+@pytest.mark.parametrize("tree", [max_tree, min_tree])
+def test_trees_of_any_count_are_the_trees_padded_with_the_last_leaf(tree, count, stacked):
     rng = np.random.default_rng(21)
-    nets = [_random_net(rng, (1, 2, 1)) for _ in range(3)]
-    with pytest.raises(ValueError):
-        max_tree(nets)
-
-
-def test_pad_to_pow2_neutral_under_max():
-    rng = np.random.default_rng(22)
-    nets = [_random_net(rng, (2, 3, 1)) for _ in range(3)]
-    padded = pad_to_pow2(nets)
-    assert len(padded) == 4
-    net = max_tree(padded)
+    if stacked:
+        nets = [_stack_net(rng, (2, 3, 1), 2) for _ in range(count)]
+    else:
+        nets = [_random_net(rng, (2, 3, 1)) for _ in range(count)]
+    width = 1 << (count - 1).bit_length()
+    padded = nets + [nets[-1]] * (width - count)
+    members = unstack(tree(nets))
+    got = [network_to_text(n) for n in members]
+    assert got == [network_to_text(n) for n in unstack(tree(padded))]
+    # and the tree is the pointwise extreme of the leaves, member by member
     xs = rng.normal(size=(200, 2))
-    stack = np.stack([realize(n, xs)[..., 0] for n in nets])
-    _assert_exact(realize(net, xs)[..., 0], np.max(stack, axis=0))
+    extreme = np.max if tree is max_tree else np.min
+    leaves = np.array([[realize(m, xs)[..., 0] for m in unstack(n)] for n in nets])
+    for s, member in enumerate(members):
+        _assert_exact(realize(member, xs)[..., 0], extreme(leaves[:, s], axis=0))
+        assert member.size <= max_tree_bound(nets[0].size, (count - 1).bit_length())
+
+
+def test_trees_refuse_zero_leaves():
+    for tree in (max_tree, min_tree):
+        with pytest.raises(ValueError, match="at least one network"):
+            tree([])
 
 
 # ------------------------------------------------------------- square nets

@@ -1,5 +1,6 @@
 """Experiment driver: config validation, artifacts, verify, exit codes."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -489,22 +490,72 @@ print(json.dumps(report))
 """
 
 
+# one small config of every study
+_EVERY_STUDY = [
+    {"study": "game", "d": 2},
+    {"study": "synth", "system": "ou", "d": 2, "eps": 0.75},
+    {"study": "convergence", "system": "ou", "d": 2, "paths": 64, "n_list": [4, 8]},
+    {"study": "calculus-check"},
+    {"study": "scaling", "d_list": [2, 3], "eps_list": [0.4, 0.3]},
+]
+
+
 def test_no_study_imports_a_module():
     # every import is paid when the cli loads, before any study's clock starts
-    configs = [
-        {"study": "game", "d": 2},
-        {"study": "synth", "system": "ou", "d": 2, "eps": 0.75},
-        {"study": "convergence", "system": "ou", "d": 2, "paths": 64, "n_list": [4, 8]},
-        {"study": "calculus-check"},
-        {"study": "scaling", "d_list": [2, 3], "eps_list": [0.4, 0.3]},
-    ]
-    run = _python(_STUDIES_AFTER_IMPORT, json.dumps(configs))
+    run = _python(_STUDIES_AFTER_IMPORT, json.dumps(_EVERY_STUDY))
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout)
-    assert [study for study, _, _ in report] == [cfg["study"] for cfg in configs]
+    assert [study for study, _, _ in report] == [cfg["study"] for cfg in _EVERY_STUDY]
     for study, code, modules in report:
         assert code == EXIT_OK, study
         assert modules == [], "%s imported %s" % (study, modules)
+
+
+def test_numpy_ma_is_loaded_neither_by_the_cli_nor_by_a_study():
+    # np.unique would load numpy.ma; the calculus forms its pattern unions without it
+    run = _python("import sys, stiffnet.cli; print('numpy.ma' in sys.modules)")
+    assert run.stdout.split() == ["False"], run.stderr
+    # sys.modules only grows, so one look after the last study covers every study
+    code = _STUDIES_AFTER_IMPORT + "print('numpy.ma' in sys.modules)\n"
+    run = _python(code, json.dumps(_EVERY_STUDY))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+
+
+def test_only_the_calculus_imports_private_names_of_sibling_modules():
+    import stiffnet
+
+    package = os.path.dirname(os.path.abspath(stiffnet.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "calculus.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            sibling = isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").split(".")[0] == "stiffnet"
+            )
+            if sibling:
+                found += [
+                    "%s: %s" % (name, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                    and not (alias.name.startswith("__") and alias.name.endswith("__"))
+                ]
+    assert found == []
+
+
+def test_options_may_come_before_or_after_the_command(tmp_path):
+    path = _write_config(tmp_path, {"study": "calculus-check", "instances": 1, "points": 8})
+    out = os.path.join(tmp_path, "out")
+    assert main(["--config", path, "--out", out, "calculus-check"]) == EXIT_OK
+    assert main(["verify", "--out", out, "--threads", "1", "--config", path]) == EXIT_OK
+    # an unknown command or a missing option is a usage error, exit code 2
+    for argv in (["bogus", "--config", path, "--out", out], ["verify", "--config", path]):
+        with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
 
 
 def test_game_runs_where_scipy_cannot_be_imported(tmp_path):

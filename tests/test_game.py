@@ -20,7 +20,6 @@ from stiffnet import (
     make_controlled_relu_drift,
     make_system,
     network_to_text,
-    pad_to_pow2,
     pair_value_nets,
     parallel_shared,
     psi_max_net,
@@ -118,6 +117,18 @@ def test_grid_validation():
     assert grid.check_on_grid(1.0, 4).tolist() == [0, 2]
     with pytest.raises(ValueError):
         grid.check_on_grid(1.0, 3)
+
+
+def test_off_grid_times_are_refused_at_large_step_counts():
+    grid = StrategyGrid(times=[0.0, 1 / 3, 2 / 3], u1_actions=[[0.0]], u2_actions=[[0.0]])
+    # 1/3 lies 1/3 of a step off the grid, within a relative 1e-5 of step 100000
+    for steps in (300_001, 3_000_001):
+        with pytest.raises(ValueError, match="Euler grid"):
+            grid.check_on_grid(1.0, steps)
+    fifths = StrategyGrid(
+        times=[k * 3.0 / 5 for k in range(5)], u1_actions=[[0.0]], u2_actions=[[0.0]]
+    )
+    assert fifths.check_on_grid(3.0, 5 * 10**7).tolist() == [k * 10**7 for k in range(5)]
 
 
 def test_step_indices_beyond_int64_are_refused():
@@ -266,6 +277,12 @@ def _recursive_max(nets):
     return compose(psi_max_net(), pair)
 
 
+def _padded(nets):
+    """The list padded to a power-of-two length with its last entry."""
+    width = 1 << (len(nets) - 1).bit_length()
+    return nets + [nets[-1]] * (width - len(nets))
+
+
 def _recursive_min(nets):
     neg = np.array([[-1.0]])
     flipped = [fold_affine(net, "post", neg) for net in nets]
@@ -285,7 +302,7 @@ def test_stacked_infsup_is_the_per_row_tree_construction_byte_for_byte(times, u1
     nets = unstack(stack)
     rows = [nets[i : i + len(s2)] for i in range(0, len(nets), len(s2))]
     want = network_to_text(
-        _recursive_min(pad_to_pow2([_recursive_max(pad_to_pow2(row)) for row in rows]))
+        _recursive_min(_padded([_recursive_max(_padded(row)) for row in rows]))
     )
     assert network_to_text(infsup_net(stack, len(s2))) == want
     assert network_to_text(infsup_net(rows)) == want

@@ -27,7 +27,8 @@ from stiffnet import (
     unstack,
     weighted_square_net,
 )
-from stiffnet.network import _hex_row, _int_row, _parse_ints
+from stiffnet.calculus import _stacked_layers
+from stiffnet.network import _dense, _hex_row, _int_row, _parse_ints
 
 # fixed derandomized settings keep the suite deterministic run to run
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -426,7 +427,7 @@ def test_add_compose_adds_the_branches(branch_depth, data):
 @given(st.data())
 def test_max_and_min_trees_are_the_pointwise_extremes(data):
     dims = _dims(data.draw, max_depth=3)[:-1] + [1]
-    n_leaves = data.draw(st.sampled_from([1, 2, 4]))
+    n_leaves = data.draw(st.integers(1, 5))
     leaves = [_net_of(data.draw, dims) for _ in range(n_leaves)]
     xs = _inputs(data, dims[0])
     vals = np.stack([realize(n, xs)[:, 0] for n in leaves])
@@ -485,6 +486,28 @@ def _assert_members_match(stack, singles):
     assert len(members) == len(singles)
     for got, want in zip(members, singles):
         assert network_to_text(got) == network_to_text(want)
+
+
+@PROPERTY
+@given(st.data())
+def test_stacked_layers_lay_members_out_on_the_union_of_their_patterns(data):
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    q = data.draw(st.integers(1, 3))
+    layers = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        lead = (q,) if data.draw(st.booleans()) else ()
+        # sparse values, so rows and whole layers often store no weight
+        values = st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.0, -0.5])
+        w = data.draw(arrays(np.float64, lead + (rows, cols), elements=values))
+        layers.append(Layer(w, np.zeros(lead + (rows,))))
+    got = _stacked_layers(layers, q)
+    keys = [np.repeat(np.arange(rows), np.diff(l.indptr)) * cols + l.indices for l in layers]
+    union = np.unique(np.concatenate(keys))
+    assert np.array_equal(got.indices, union % cols)
+    assert np.array_equal(got.indptr, np.searchsorted(union, np.arange(rows + 1) * cols))
+    # member k q + s is member s of layers[k], a single layer counting as q equal ones
+    want = np.concatenate([np.broadcast_to(_dense(l), (q, rows, cols)) for l in layers])
+    assert np.array_equal(np.broadcast_to(_dense(got), want.shape), want)
 
 
 @PROPERTY
