@@ -596,6 +596,8 @@ def min_tree(nets):
 def _pair_stack(w_nets, n_cols):
     """(stack, rows, columns) of a grid given as lists of rows or as a stack."""
     if n_cols is not None:
+        if isinstance(n_cols, bool) or not isinstance(n_cols, int) or n_cols < 1:
+            raise ValueError("infsup_net: n_cols must be an int >= 1, got %r" % (n_cols,))
         if not w_nets.members or w_nets.members % n_cols:
             raise ValueError("infsup_net: the stack is not rows of %d pairs" % n_cols)
         return w_nets, w_nets.members // n_cols, n_cols

@@ -191,6 +191,4 @@ def brute_force_game_value(recipe, grid, cost, budget, seed, x):
 
 def game_delta(eps, d, kappa0, n_interventions):
     """Per-strategy accuracy budget eps * (kappa0 d^kappa0)^(-M/2)."""
-    if n_interventions == 0:
-        return float(eps)
     return float(eps * (kappa0 * d**kappa0) ** (-n_interventions / 2.0))

@@ -354,26 +354,29 @@ def step_pes(factor, coeffs, y, t_n, db):
     return out
 
 
-def _trajectory(sys, coeffs, x0, cfg, bundle, noise=None):
-    """Yield the (..., M, d) scheme state at steps 0..N (0 = after the projection).
-
-    x0 is one start point (d,) or a batch (P, d); every start point steps
-    on the bundle's M paths.  `noise` yields step n's (M, d) block; it
-    defaults to the bundle's stream.
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim not in (1, 2) or x0.shape[-1] != sys.d:
-        raise ValueError("x0 has wrong dimension")
+def _blocks(bundle, cfg):
+    """The bundle's stream of cfg.steps blocks, once the bundle is checked against cfg."""
     if bundle.n_steps < cfg.steps:
         raise ValueError("bundle has fewer steps than the configuration")
     if bundle.h != cfg.h:
         raise ValueError(
             "bundle step size %r differs from the configuration's %r" % (bundle.h, cfg.h)
         )
-    if noise is None:
-        noise = bundle.stream(cfg.steps)
+    return bundle.stream(cfg.steps)
+
+
+def _trajectory(sys, coeffs, x0, cfg, n_paths, noise):
+    """Yield the (..., M, d) scheme state at steps 0, 1, ... (0 = after the projection).
+
+    x0 is one start point (d,) or a batch (P, d); every start point steps
+    on the M = n_paths paths.  `noise` yields step n's (M, d) block, and
+    the run takes one step per block it yields.
+    """
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.ndim not in (1, 2) or x0.shape[-1] != sys.d:
+        raise ValueError("x0 has wrong dimension")
     factor = ImplicitFactor(sys.A, cfg.h)
-    start = np.broadcast_to(x0[..., None, :], x0.shape[:-1] + (bundle.n_paths, sys.d))
+    start = np.broadcast_to(x0[..., None, :], x0.shape[:-1] + (n_paths, sys.d))
     y = factor.solve(start.copy())
     yield y
     grid = cfg.grid()
@@ -388,7 +391,7 @@ def simulate(sys, coeffs, x0, cfg, bundle):
     A start point x0 of shape (d,) gives (M, d) endpoints; a batch (P, d)
     gives (P, M, d), row [p, m] driven by path m's noise.
     """
-    for y in _trajectory(sys, coeffs, x0, cfg, bundle):
+    for y in _trajectory(sys, coeffs, x0, cfg, bundle.n_paths, _blocks(bundle, cfg)):
         pass
     return y
 
@@ -552,75 +555,75 @@ def reference_steps(n_list):
     return n_ref
 
 
-class _CoarseRun:
-    """One coarse scheme stepping on increments summed from the fine grid."""
+def _summed_into(blocks, strides, accs):
+    """Yield the fine blocks, each first summed into every coarse increment.
 
-    def __init__(self, A, start, n, horizon, n_ref):
-        cfg = EulerConfig(horizon, n)
-        self.n = n
-        self.stride = n_ref // n
-        self.factor = ImplicitFactor(A, cfg.h)
-        self.grid = cfg.grid()
-        self.y = self.factor.solve(start.copy())
-        self.db = np.empty(start.shape)
-        self.err = _GridMax()
+    Fine block j starts coarse increment k afresh when stride k divides j
+    and is added to it otherwise.
+    """
+    for j, db in enumerate(blocks):
+        for stride, acc in zip(strides, accs):
+            if j % stride == 0:
+                np.copyto(acc, db)
+            else:
+                np.add(acc, db, out=acc)
+        yield db
 
 
 def rate_study(sys, coeffs, cost, x0, n_list, horizon, seed, n_paths, oracle=None):
     """Strong and weak error vs step size against a 64x-refined same-noise run.
 
     One pass walks the fine grid: each fine Brownian block is drawn once,
-    steps the exact-coefficient reference and is summed into every coarse
-    scheme's increment, so all runs share one Brownian path per sample.  A
-    coarse scheme steps when its grid point is reached.  The strong error
-    per N is max over grid times of (E |Y_N - Y_ref|^2)^(1/2); the weak
-    error is |E f~_D(Y_N(T)) - oracle|, where `cost` exposes the exact f and
-    the net realization f_tilde.  Without a closed-form oracle, the oracle
-    is the mean of the untruncated f over the reference endpoints.
+    summed into every coarse scheme's increment and then steps the
+    exact-coefficient reference, so all runs share one Brownian path per
+    sample.  A coarse scheme steps on its summed increment when the
+    reference reaches its next grid point.  The strong error per N is max
+    over grid times of (E |Y_N - Y_ref|^2)^(1/2); the weak error is
+    |E f~_D(Y_N(T)) - oracle|, where `cost` exposes the exact f and the net
+    realization f_tilde.  Without a closed-form oracle, the oracle is the
+    mean of the untruncated f over the reference endpoints.
     """
     n_ref = reference_steps(n_list)
     n_list = sorted(int(n) for n in n_list)
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    if x0.shape[0] != sys.d:
-        raise ValueError("x0 has wrong dimension")
-    fine = PathBundle(seed, n_paths, n_ref, sys.d, horizon / n_ref)
+    strides = [n_ref // n for n in n_list]
+    accs = [np.empty((n_paths, sys.d)) for _ in n_list]
+    runs = [
+        _trajectory(sys, coeffs, x0, EulerConfig(horizon, n), n_paths, itertools.repeat(acc))
+        for n, acc in zip(n_list, accs)
+    ]
+    errs = [_GridMax() for _ in n_list]
+    ends = [None] * len(n_list)
     ref_cfg = EulerConfig(horizon, n_ref)
-    ref_factor = ImplicitFactor(sys.A, ref_cfg.h)
+    fine = PathBundle(seed, n_paths, n_ref, sys.d, ref_cfg.h)
     ref_coeffs = exact_coefficients(sys)
-    ref_grid = ref_cfg.grid()
-    start = np.broadcast_to(x0, (n_paths, sys.d))
-    y_ref = ref_factor.solve(start.copy())
-    runs = [_CoarseRun(sys.A, start, n, horizon, n_ref) for n in n_list]
-    for run in runs:
-        run.err.fold(np.sum((run.y - y_ref) ** 2, axis=1))
-
-    for j, db in enumerate(fine.stream(n_ref)):
-        y_ref = step_pes(ref_factor, ref_coeffs, y_ref, ref_grid[j], db)
-        for run in runs:
-            if j % run.stride == 0:
-                np.copyto(run.db, db)
-            else:
-                np.add(run.db, db, out=run.db)
-            if (j + 1) % run.stride == 0:
-                k = j // run.stride
-                run.y = step_pes(run.factor, coeffs, run.y, run.grid[k], run.db)
-                run.err.fold(np.sum((run.y - y_ref) ** 2, axis=1))
+    # no local holds the reference run or its noise, so an error raised in
+    # the loop closes them and the stream stops its workers
+    for j, y_ref in enumerate(
+        _trajectory(
+            sys, ref_coeffs, x0, ref_cfg, n_paths, _summed_into(_blocks(fine, ref_cfg), strides, accs)
+        )
+    ):
+        for k, stride in enumerate(strides):
+            if j % stride == 0:
+                ends[k] = next(runs[k])
+                errs[k].fold(np.sum((ends[k] - y_ref) ** 2, axis=1))
 
     magnitude = float(np.sqrt(np.mean(y_ref**2) * sys.d))
     if oracle is None:
         oracle = float(np.mean(cost.f(y_ref)))
     rows = []
-    for run in runs:
-        err = np.sqrt(run.err.value)
-        if run.err.value == 0.0:
+    for n, grid_max, end in zip(n_list, errs, ends):
+        err = np.sqrt(grid_max.value)
+        if grid_max.value == 0.0:
             stderr = 0.0
         else:
-            stderr = run.err.stderr / (2.0 * max(err, 1e-300))
-        vals = cost.f_tilde(run.y)
+            stderr = grid_max.stderr / (2.0 * max(err, 1e-300))
+        vals = cost.f_tilde(end)
         rows.append(
             {
-                "N": run.n,
-                "h": horizon / run.n,
+                "N": n,
+                "h": horizon / n,
                 "strong_err": err,
                 "stderr": stderr,
                 "weak_err": abs(float(np.mean(vals)) - oracle),
@@ -644,9 +647,9 @@ def coupled_gap_check(sys, coeffs, x0, cfg, bundle):
     """
     gap = _GridMax()
     # the two runs share each block, drawn once
-    noise = itertools.tee(bundle.stream(cfg.steps))
-    exact = _trajectory(sys, exact_coefficients(sys), x0, cfg, bundle, noise[0])
-    perturbed = _trajectory(sys, coeffs, x0, cfg, bundle, noise[1])
+    noise = itertools.tee(_blocks(bundle, cfg))
+    exact = _trajectory(sys, exact_coefficients(sys), x0, cfg, bundle.n_paths, noise[0])
+    perturbed = _trajectory(sys, coeffs, x0, cfg, bundle.n_paths, noise[1])
     for y, y_pert in zip(exact, perturbed):
         gap.fold(np.sum((y - y_pert) ** 2, axis=1))
     return {
@@ -665,7 +668,9 @@ def moment_check(sys, x0, cfg, bundle, p=2.0):
     probe.  Each estimate must sit below bound + 3 stderr.
     """
     second = _GridMax()
-    for end in _trajectory(sys, exact_coefficients(sys), x0, cfg, bundle):
+    for end in _trajectory(
+        sys, exact_coefficients(sys), x0, cfg, bundle.n_paths, _blocks(bundle, cfg)
+    ):
         second.fold(np.sum(end**2, axis=1))
     bound2 = float(discrete_moment_bound(sys, x0, cfg.horizon))
 

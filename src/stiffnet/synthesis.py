@@ -95,13 +95,6 @@ def truncation_radius(h, eta):
     return int(math.ceil(h ** (-(eta + 4.0) / (6.0 * eta + 8.0))))
 
 
-def _next_pow2(n):
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def _inequality_one(eta, kappa, tau, horizon, beta):
     """Exponents (a1, p_h) of inequality 1, d^a1 h^p_h <= budget, and the floor N.
 
@@ -138,7 +131,7 @@ def plan_budget(eps, d, eta, kappa, tau, horizon, beta=0.0, cplan=1.0):
     except OverflowError:  # ratio > 1, so no finite horizon makes it bind
         h_cap = math.inf
     n_ineq = math.ceil(horizon / h_cap) if h_cap < horizon else 1
-    steps = _next_pow2(max(n_ineq, n_floor))
+    steps = 1 << (max(n_ineq, n_floor) - 1).bit_length()
     if steps > MAX_STEPS:
         raise BudgetError(
             "planned step count %d exceeds the desk-scale cap; "
@@ -177,7 +170,7 @@ def cplan_floor(eps, d, eta, kappa, tau, horizon, beta=0.0):
     keeps the planned N at the floor across the whole sweep.
     """
     a1, p_h, n_floor = _inequality_one(eta, kappa, tau, horizon, beta)
-    h_floor = horizon / _next_pow2(n_floor)
+    h_floor = horizon / (1 << (n_floor - 1).bit_length())
     # tiny headroom so round-off in the planner's root cannot push the
     # implied step count past the floor's power of two
     return d**a1 * h_floor**p_h / (eps * eps) * (1.0 + 1e-9)
@@ -330,9 +323,9 @@ def unroll_value_net(
     # member m * n_plans + p is path m under plan p, so each path's members
     # form one block of the stack and the average combines the blocks
     psi = fold_affine(identity_net(d, 1), "post", inv)
-    for n in range(n_steps):
+    for n, db in enumerate(bundle.stream(n_steps)):
         # one scheme step: psi + h mu(t_n, psi) + sum_j db_j sigma_j(t_n, psi)
-        weights = np.hstack([np.full((n_paths, 1), h), bundle.increments(n)])
+        weights = np.hstack([np.full((n_paths, 1), h), db])
         u = np.full((n_paths * n_plans, 1), n * h)
         if actions is not None:
             u = np.hstack([u, np.tile(actions[:, n], (n_paths, 1))])

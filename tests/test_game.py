@@ -8,6 +8,7 @@ import pytest
 from stiffnet import (
     Layer,
     Network,
+    NetworkShapeError,
     StrategyGrid,
     SynthesisBudget,
     brute_force_game_value,
@@ -194,6 +195,25 @@ def test_infsup_all_identical():
     w = [[_const_net(2.5)] * 2] * 2
     net = infsup_net(w)
     assert realize(net, np.ones(2))[0] == pytest.approx(2.5)
+
+
+def test_infsup_net_refuses_column_counts_and_grids_it_cannot_read():
+    # a 2-member stack of the constants 1 and 4: one row of 2, or 2 rows of 1
+    stack = Network([Layer(np.zeros((1, 2)), np.array([[1.0], [4.0]]))])
+    assert realize(infsup_net(stack, 2), np.zeros(2))[0] == 4.0
+    assert realize(infsup_net(stack, 1), np.zeros(2))[0] == 1.0
+    for n_cols in (0, -1, True, 2.0):
+        with pytest.raises(ValueError, match="n_cols must be an int >= 1, got %r" % (n_cols,)):
+            infsup_net(stack, n_cols)
+    for grid, cols in ((stack, 3), (_const_net(1), 1)):
+        with pytest.raises(ValueError, match="the stack is not rows of %d pairs" % cols):
+            infsup_net(grid, cols)
+    a, b = _const_net(1), _const_net(2)
+    for rows in ([], [[]], [[a, b], [a]], [[a], []]):
+        with pytest.raises(ValueError, match="needs nonempty rows of one length"):
+            infsup_net(rows)
+    with pytest.raises(NetworkShapeError, match="takes rows of single networks"):
+        infsup_net([[a, stack]])
 
 
 def test_infsup_padding_neutrality():

@@ -1,7 +1,9 @@
 """Linear-implicit scheme engine: stability, determinism, statistical bounds."""
 
+import ast
 import dataclasses
 import inspect
+import os
 import threading
 import tracemalloc
 from sys import getswitchinterval, setswitchinterval
@@ -463,6 +465,72 @@ def _count_draws(monkeypatch):
 
     monkeypatch.setattr(PathBundle, "increments", counted)
     return draws
+
+
+def _scheme_refusals():
+    rec = make_ou(2, decay=0.5, noise=0.3)
+    sys, coeffs, cfg = rec.system, exact_coefficients(rec.system), EulerConfig(1.0, 8)
+    bundle = PathBundle(1, 16, 8, 2, cfg.h)
+    base = dict(d=2, mu=sys.mu, noise=sys.noise, beta=0.0, eta=0.5)
+    blown_up = dataclasses.replace(coeffs, mu=lambda t, x: np.full(np.shape(x), np.inf))
+
+    def no_threads():
+        with drawing_threads(0):
+            pass
+
+    def blow_up():
+        db = bundle.increments(0)
+        return step_pes(ImplicitFactor(sys.A, cfg.h), blown_up, np.ones((16, 2)), 0.0, db)
+
+    return {
+        "A not d x d": (lambda: StiffSystem(A=np.zeros((3, 3)), **base), "A must be d x d"),
+        "operator norm": (lambda: StiffSystem(A=5.0 * np.eye(2), **base), "operator norm 5 "),
+        "no drawing thread": (no_threads, "threads must be >= 1"),
+        "blow-up": (blow_up, "nonfinite"),
+        "x0": (lambda: simulate(sys, coeffs, np.ones(3), cfg, bundle), "x0 has wrong"),
+        "x0 batch": (lambda: simulate(sys, coeffs, np.ones((2, 2, 2)), cfg, bundle), "x0 has"),
+        "steps": (
+            lambda: simulate(sys, coeffs, np.ones(2), EulerConfig(2.0, 16), bundle),
+            "fewer steps",
+        ),
+        "rate study x0": (
+            lambda: rate_study(sys, coeffs, _strong_cost(2), np.ones(3), [8], 1.0, 3, 8),
+            "x0 has wrong",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_scheme_refusals()))
+def test_scheme_refusals_raise_before_a_block_is_drawn(monkeypatch, case):
+    run, match = _scheme_refusals()[case]
+    draws = _count_draws(monkeypatch)
+    before = threading.active_count()
+    error = FloatingPointError if case == "blow-up" else ValueError
+    with drawing_threads(2), np.errstate(invalid="ignore"), pytest.raises(error, match=match):
+        run()
+    # the blow-up probe draws its one block itself
+    assert draws == ([0] if case == "blow-up" else [])
+    assert threading.active_count() == before
+
+
+def test_rate_study_blow_up_stops_the_stream_workers():
+    rec = make_ou(2, decay=0.5, noise=0.3)
+    before = threading.active_count()
+    running = []
+
+    def mu(t, x):
+        running.append(threading.active_count())
+        return np.full(np.shape(x), np.inf)
+
+    coeffs = dataclasses.replace(exact_coefficients(rec.system), mu=mu)
+    with drawing_threads(2), np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="blow-up") as raised:
+            rate_study(rec.system, coeffs, _strong_cost(2), np.ones(2), [2, 4], 1.0, 3, 8)
+    # the coarse run blew up while workers drew the fine blocks, and they
+    # stopped though the traceback keeps the study's frame alive
+    assert running[0] > before
+    assert threading.active_count() == before
+    assert raised.traceback
 
 
 # -------------------------------------------------------------- path bundle
@@ -997,3 +1065,42 @@ def test_step_floor_components():
         assert f >= T * (2.0 * beta + r) / (r - 1.0) - 1e-12
         assert f >= T / eta - 1e-12
         assert f >= 2.0 * T * eta - 1e-12
+
+
+# -------------------------------------------------------------- structure
+
+
+def _calls(tree, name):
+    """(scope, in_loop) of every call of a function or method `name` in a module."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+
+    def visit(node, scope, in_loop):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,), False)
+                continue
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and name in (
+                getattr(func, "id", None),
+                getattr(func, "attr", None),
+            ):
+                found.append((".".join(scope), in_loop))
+            visit(child, scope, in_loop or isinstance(child, loops))
+
+    visit(tree, (), False)
+    return found
+
+
+def test_one_loop_steps_the_scheme_and_one_stream_draws_the_noise():
+    package = os.path.dirname(os.path.abspath(sde.__file__))
+    stepping, drawing = set(), set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            stepping |= {(name, s) for s, in_loop in _calls(tree, "step_pes") if in_loop}
+            drawing |= {(name, s.split(".")[0]) for s, _ in _calls(tree, "increments")}
+    # moment_check's one-step probe draws block 0 itself and steps once
+    assert stepping == {("sde.py", "_trajectory")}
+    assert drawing == {("sde.py", "PathBundle"), ("sde.py", "moment_check")}

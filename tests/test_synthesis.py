@@ -548,3 +548,32 @@ def test_calibrate_cplan_makes_one_reference_call_per_candidate(monkeypatch):
         calibrate_cplan(0.25, rec, eta, kappa, tau, 1.0, 21)
         assert unrolls and set(unrolls) == {(d, d)}
         assert calls == [(256, d)] * len(unrolls)
+
+
+@pytest.mark.parametrize("misses", [1, 2, 8])
+def test_calibrate_cplan_quarters_the_candidate_per_miss(monkeypatch, misses):
+    # each candidate whose measured error is above eps is divided by 4, and
+    # after 8 misses calibration fails
+    import stiffnet.synthesis as synthesis
+
+    eps, eta, kappa, tau, horizon = 0.5, 0.5, 1.0, cube_tau(0.5), 1.0
+    rec = make_ou(2, decay=0.5, noise=0.1, eta=eta)
+    measured = []
+
+    def error(estimates, references):
+        measured.append(len(estimates))
+        return (1.0 if len(measured) <= misses else 0.0), 0.0
+
+    monkeypatch.setattr(synthesis, "l2_error_values", error)
+    if misses == 8:
+        with pytest.raises(
+            BudgetError, match="calibration failed: measured error 1 above target 0.5"
+        ):
+            calibrate_cplan(eps, rec, eta, kappa, tau, horizon, 5)
+        assert len(measured) == 8
+        return
+    first = synthesis.CALIBRATION_MARGIN * cplan_floor(
+        eps, 16, eta, kappa, tau, horizon, beta=rec.system.beta
+    )
+    assert calibrate_cplan(eps, rec, eta, kappa, tau, horizon, 5) == first / 4**misses
+    assert measured == [synthesis.CALIBRATION_SAMPLES] * (misses + 1)
